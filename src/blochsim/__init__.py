@@ -37,7 +37,6 @@ from .generators import (
     verify_generator_set,
 )
 from .sampler import (
-    HiddenInteraction,
     OracleReport,
     RngSeed,
     TrialReport,
@@ -75,7 +74,6 @@ __all__ = [
     "DimensionError",
     "GeneratorSet",
     "GeometryError",
-    "HiddenInteraction",
     "InvariantCheck",
     "Ket",
     "MeasurementBasis",

@@ -23,12 +23,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, NormalizationError
 from .generators import GeneratorSet
-
-#: Tolerance for exact algebraic identities (hermiticity, traces, norms).
-ALGEBRA_TOL = 1e-12
-#: Tolerance for eigenvalue-based checks; eigensolvers leave slightly
-#: larger residuals on boundary states.
-EIGEN_TOL = 1e-10
+from .tolerances import ALGEBRA_TOL, EIGEN_TOL
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -52,7 +47,7 @@ class Ket:
         if amps.ndim != 1 or amps.size < 2:
             raise DimensionError(f"ket must be a vector of length >= 2, got shape {amps.shape}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > ALGEBRA_TOL:
+        if not abs(norm_sq - 1.0) <= ALGEBRA_TOL:
             raise NormalizationError(
                 f"ket is not unit-normalized: sum |psi_k|^2 = {norm_sq!r}"
             )
@@ -80,10 +75,10 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise DimensionError(f"density matrix must be square with N >= 2, got shape {m.shape}")
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > ALGEBRA_TOL:
+        if not herm <= ALGEBRA_TOL:
             raise NormalizationError(f"matrix is not Hermitian: max |D - D^dagger| = {herm:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ALGEBRA_TOL:
+        if not abs(tr - 1.0) <= ALGEBRA_TOL:
             raise NormalizationError(f"matrix does not have unit trace: Tr D = {tr!r}")
         object.__setattr__(self, "entries", _as_readonly(m))
 
@@ -158,7 +153,7 @@ def to_bloch(d: DensityMatrix, g: GeneratorSet) -> BlochVector:
     _check_dims(g, d.dim, "state")
     traces = np.einsum("ij,kji->k", d.entries, g.matrices)
     imag = float(np.max(np.abs(traces.imag)))
-    if imag > ALGEBRA_TOL:
+    if not imag <= ALGEBRA_TOL:
         raise ContractError(f"Tr(D L_j) has imaginary residual {imag:.3e} > {ALGEBRA_TOL}")
     n = d.dim
     coords = (n / (2.0 * radius_scale(n))) * traces.real

@@ -27,7 +27,6 @@ parse/validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -172,26 +171,28 @@ def _parse_partition_blocks(blocks, dim: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zero_based)
 
 
+def _split_partition_flag(text: str) -> list[list[int]]:
+    """The ``--partition "1|2,3"`` syntax as raw 1-based config blocks."""
+    blocks = [[token.strip() for token in chunk.split(",")] for chunk in text.split("|")]
+    for token in (token for blk in blocks for token in blk):
+        if not token.isdigit():
+            _fail("partition", f"expected positive integers, got {token!r}")
+    return [[int(token) for token in blk] for blk in blocks]
+
+
 def parse_partition_flag(text: str, dim: int) -> tuple[tuple[int, ...], ...]:
     """Parse the ``--partition "1|2,3"`` syntax (1-based, '|' between blocks)."""
-    blocks = []
-    for chunk in text.split("|"):
-        indices = []
-        for token in chunk.split(","):
-            token = token.strip()
-            if not token.isdigit():
-                _fail("partition", f"expected positive integers, got {token!r}")
-            indices.append(int(token))
-        blocks.append(indices)
-    return _parse_partition_blocks(blocks, dim)
+    return _parse_partition_blocks(_split_partition_flag(text), dim)
 
 
-def parse_config(source: str | Path) -> ExperimentConfig:
+def parse_config(source: str | Path, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate an experiment config from JSON text or a file path.
 
     A string argument starting with '{' is treated as JSON text, anything
-    else as a path. Parse errors carry the position, validation errors
-    the failing field name.
+    else as a path. ``overrides`` maps config field names to raw values
+    that replace the file's before validation, so command-line flags pass
+    the same field checks. Parse errors carry the position, validation
+    errors the failing field name.
     """
     if isinstance(source, Path) or not source.lstrip().startswith("{"):
         path = Path(source)
@@ -213,6 +214,7 @@ def parse_config(source: str | Path) -> ExperimentConfig:
     unknown = sorted(set(raw) - _KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
+    raw.update(overrides or {})
     if "dim" not in raw:
         _fail("dim", "is required")
     dim = _as_int(raw["dim"], "dim")
@@ -245,6 +247,10 @@ def parse_config(source: str | Path) -> ExperimentConfig:
     if out_format not in ("json", "csv"):
         _fail("format", f"expected 'json' or 'csv', got {out_format!r}")
 
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        _fail("out", f"expected a path string, got {out!r}")
+
     cfg = ExperimentConfig(
         dim=dim,
         state=state,
@@ -256,15 +262,11 @@ def parse_config(source: str | Path) -> ExperimentConfig:
         dump_geometry=_as_bool(raw.get("dump_geometry", False), "dump_geometry"),
         trace=_as_bool(raw.get("trace", False), "trace"),
         oracle_check=_as_bool(raw.get("oracle_check", False), "oracle_check"),
-        out=raw.get("out"),
+        out=out,
     )
-    _check_flag_compatibility(cfg)
-    return cfg
-
-
-def _check_flag_compatibility(cfg: ExperimentConfig) -> None:
     if cfg.out_format == "csv" and (cfg.dump_geometry or cfg.trace or cfg.oracle_check):
         _fail("format", "csv output cannot carry geometry/trace/oracle sections; use json")
+    return cfg
 
 
 def _render(cfg: ExperimentConfig) -> str:
@@ -335,26 +337,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(Path(args.config))
-        if args.trials is not None:
-            if args.trials < 1:
-                _fail("trials", f"must be >= 1, got {args.trials}")
-            cfg = dataclasses.replace(cfg, n_trials=args.trials)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=RngSeed(seed=args.seed, stream=cfg.seed.stream))
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out=args.out)
-        if args.format is not None:
-            cfg = dataclasses.replace(cfg, out_format=args.format)
-        if args.partition is not None:
-            cfg = dataclasses.replace(cfg, partition=parse_partition_flag(args.partition, cfg.dim))
-        if args.dump_geometry:
-            cfg = dataclasses.replace(cfg, dump_geometry=True)
-        if args.trace:
-            cfg = dataclasses.replace(cfg, trace=True)
-        if args.oracle_check:
-            cfg = dataclasses.replace(cfg, oracle_check=True)
-        _check_flag_compatibility(cfg)
+        flags = {
+            "n_trials": args.trials,
+            "seed": args.seed,
+            "out": args.out,
+            "format": args.format,
+            "partition": None if args.partition is None else _split_partition_flag(args.partition),
+            "dump_geometry": args.dump_geometry or None,
+            "trace": args.trace or None,
+            "oracle_check": args.oracle_check or None,
+        }
+        cfg = parse_config(
+            Path(args.config), {field: v for field, v in flags.items() if v is not None}
+        )
     except BlochSimError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochVector, DensityMatrix, to_bloch
-from .errors import ContractError, DimensionError
 from .generators import build_generators
 from .sampler import (
     Barycentric,
     RngSeed,
-    _block_map,
+    _lueders,
     classify,
     sample_lambda,
     validate_partition,
@@ -73,8 +72,6 @@ def reduce_state(d: DensityMatrix, b: MeasurementBasis) -> DensityMatrix:
     Diagonal in the measurement basis, idempotent, and Bloch-equivalent
     to the orthogonal projection of D's vector onto the simplex.
     """
-    if d.dim != b.dim:
-        raise DimensionError(f"state has dim {d.dim} but basis has dim {b.dim}")
     p = born_probabilities(d, b).weights
     kets = b.kets
     return DensityMatrix(np.einsum("j,ji,jk->ik", p, kets, kets.conj()))
@@ -94,18 +91,15 @@ def run_measurement(
     p_i / P(K), and a final purification applies the Lueders formula.
     Deterministic given the seed.
     """
-    if d.dim != b.dim:
-        raise DimensionError(f"state has dim {d.dim} but basis has dim {b.dim}")
+    p = born_probabilities(d, b)
     n = d.dim
     g = build_generators(n)
-    p = born_probabilities(d, b)
 
     stages = [ProcessStage("initial", to_bloch(d, g), d)]
     reduced = reduce_state(d, b)
     stages.append(ProcessStage("reduced", to_bloch(reduced, g), reduced))
 
-    rng = seed.generator()
-    lam = sample_lambda(n, rng)
+    lam = sample_lambda(n, seed.generator())
     i = classify(lam, p)
 
     if partition is None:
@@ -113,20 +107,10 @@ def run_measurement(
         stages.append(ProcessStage("collapsed", to_bloch(collapsed, g), collapsed))
         return ProcessTrace(stages=tuple(stages), outcome=i, lambda_point=lam)
 
-    blocks = validate_partition(partition, n)
-    k = int(_block_map(blocks, n)[i])
-    members = np.asarray(blocks[k], dtype=np.intp)
-
-    block_weight = float(p.weights[members].sum())
-    if block_weight <= 0.0:
-        raise ContractError("sampled a zero-probability class; classification is broken")
+    k, members, purified = _lueders(d, b, validate_partition(partition, n), p, i)
     kets = b.kets[members]
-    on_block = np.einsum("j,ji,jk->ik", p.weights[members] / block_weight, kets, kets.conj())
-    collapsed = DensityMatrix(on_block)
+    on_block = p.weights[members] / float(p.weights[members].sum())
+    collapsed = DensityMatrix(np.einsum("j,ji,jk->ik", on_block, kets, kets.conj()))
     stages.append(ProcessStage("collapsed", to_bloch(collapsed, g), collapsed))
-
-    proj = kets.T @ kets.conj()
-    m = proj @ d.entries @ proj
-    purified = DensityMatrix(m / float(np.trace(m).real))
     stages.append(ProcessStage("purified", to_bloch(purified, g), purified))
     return ProcessTrace(stages=tuple(stages), outcome=k, lambda_point=lam)

@@ -29,9 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-
-#: Tolerance for the exact algebraic identities (pure rounding error).
-ALGEBRA_TOL = 1e-12
+from .tolerances import ALGEBRA_TOL
 
 
 @dataclass(frozen=True)
@@ -160,13 +158,3 @@ def verify_generator_set(g: GeneratorSet) -> ValidationReport:
         )
     )
 
-
-def family_counts(g: GeneratorSet) -> tuple[int, int, int]:
-    """Sizes of the (symmetric, antisymmetric, diagonal) families.
-
-    With the fixed ordering these are the first n(n-1)/2 matrices, the next
-    n(n-1)/2, and the last n-1.
-    """
-    n = g.dim
-    off = n * (n - 1) // 2
-    return off, off, n - 1

@@ -15,9 +15,12 @@ sub-simplex over {n_j : j != i} union {r_par}) is equivalent to
 with b_j / p_j = +inf when p_j = 0: expanding lambda = c0 r_par +
 sum_{j != i} c_j n_j gives c0 = b_i / p_i and c_j = b_j - (b_i / p_i) p_j,
 all nonnegative exactly at the argmin. This O(N) rule is the production
-path; :func:`geometric_hit_count_oracle` re-derives membership by
-brute-force convex-coefficient solves over the embedded vertices and is
-kept as an independent cross-check, never replaced by the shortcut.
+path and is written once, in ``_ratios``; :func:`classify`,
+:func:`run_trials` and the oracle's comparison all take the argmin of
+its output. Every lambda comes from one chunked draw, ``_lambda_rows``.
+:func:`geometric_hit_count_oracle` re-derives membership by brute-force
+convex-coefficient solves over the embedded vertices and is kept as an
+independent cross-check, never replaced by the shortcut.
 
 Ties (boundary lambdas, measure zero) break to the smallest index, and
 outcomes with p_i = 0 can never be selected, so their frequency is
@@ -29,6 +32,7 @@ stream) pairs; merge the per-worker reports with :func:`merge_reports`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,23 +41,23 @@ from .bloch import DensityMatrix
 from .errors import ContractError, DimensionError, GeometryError, OracleInconsistencyError
 from .generators import build_generators
 from .simplex import (
-    HULL_TOL,
     Barycentric,
     MeasurementBasis,
     MeasurementSimplex,
     basis_to_simplex,
     born_probabilities,
 )
-
-#: A sampled interaction point; structurally identical to barycentric weights.
-HiddenInteraction = Barycentric
-
-#: Coefficient tolerance for the brute-force membership solve.
-MEMBER_TOL = 1e-10
-#: Two classifications within this band of a region boundary count as a tie.
-TIE_BAND = 1e-10
+from .tolerances import BOUNDARY_TOL, HULL_TOL, MEMBER_TOL, TIE_BAND
 
 _CHUNK = 1 << 18
+
+
+def _as_integer(value, what: str) -> int:
+    """``value`` as an int; a non-integer is a ContractError, not a TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,9 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= _as_integer(self.seed, "seed") < 2**64:
             raise ContractError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if int(self.stream) < 0:
+        if _as_integer(self.stream, "stream id") < 0:
             raise ContractError(f"stream id must be nonnegative, got {self.stream!r}")
 
     def generator(self) -> np.random.Generator:
@@ -145,25 +149,37 @@ class OracleReport:
         object.__setattr__(self, "fractions", fr)
 
 
-def sample_lambda(n: int, rng: np.random.Generator) -> HiddenInteraction:
+def _lambda_rows(n: int, count: int, rng: np.random.Generator):
+    """Yield ``count`` uniform points of the (n-1)-simplex as row blocks.
+
+    Each row is n unit-rate exponentials normalized by their sum (the
+    Dirichlet(1, ..., 1) construction); at most ``_CHUNK`` rows per block.
+    """
+    while count > 0:
+        m = min(count, _CHUNK)
+        draws = rng.exponential(size=(m, n))
+        yield draws / draws.sum(axis=1, keepdims=True)
+        count -= m
+
+
+def _ratios(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """b_j / p_j along the last axis, +inf where p_j = 0; argmin is the outcome."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, lam / p, np.inf)
+
+
+def sample_lambda(n: int, rng: np.random.Generator) -> Barycentric:
     """One interaction point, Lebesgue-uniform on the (n-1)-simplex.
 
-    Draws n unit-rate exponentials and normalizes by their sum (the
-    Dirichlet(1, ..., 1) construction); rejection-free in any dimension.
+    Rejection-free in any dimension; consumes the same draws as one row
+    of a :func:`run_trials` chunk.
     """
     if n < 2:
         raise DimensionError(f"simplex sampling needs n >= 2, got {n}")
-    e = rng.exponential(size=n)
-    return Barycentric(e / e.sum())
+    return Barycentric(next(_lambda_rows(n, 1, rng))[0])
 
 
-def _classify_batch(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(p > 0.0, lam / p, np.inf)
-    return np.argmin(ratios, axis=-1)
-
-
-def classify(lam: HiddenInteraction, p: Barycentric) -> int:
+def classify(lam: Barycentric, p: Barycentric) -> int:
     """Index of the sub-region A_i containing lambda, given the state point p.
 
     Implements i = argmin_j b_j / p_j with the +inf convention for
@@ -173,7 +189,7 @@ def classify(lam: HiddenInteraction, p: Barycentric) -> int:
     """
     if lam.dim != p.dim:
         raise DimensionError(f"lambda has dim {lam.dim} but p has dim {p.dim}")
-    return int(_classify_batch(lam.weights, p.weights))
+    return int(np.argmin(_ratios(lam.weights, p.weights)))
 
 
 def measure_once(
@@ -189,7 +205,7 @@ def measure_once(
 def validate_partition(partition, n: int) -> tuple[tuple[int, ...], ...]:
     """Check that partition is a set partition of range(n); returns it as tuples."""
     try:
-        blocks = tuple(tuple(int(i) for i in blk) for blk in partition)
+        blocks = tuple(tuple(_as_integer(i, "partition index") for i in blk) for blk in partition)
     except TypeError as exc:
         raise ContractError(f"partition must be an iterable of index blocks: {exc}") from exc
     if not blocks or any(not blk for blk in blocks):
@@ -208,12 +224,19 @@ def validate_partition(partition, n: int) -> tuple[tuple[int, ...], ...]:
     return blocks
 
 
-def _block_map(blocks: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
-    mapping = np.empty(n, dtype=np.int64)
-    for k, blk in enumerate(blocks):
-        for i in blk:
-            mapping[i] = k
-    return mapping
+def _lueders(d: DensityMatrix, b: MeasurementBasis, blocks, p: Barycentric, i: int):
+    """Class k of outcome i, its member outcomes and the Lueders post-state.
+
+    The post-state is P_K D P_K / Tr(P_K D P_K), P_K the block projector.
+    """
+    k = next(k for k, blk in enumerate(blocks) if i in blk)
+    members = np.asarray(blocks[k], dtype=np.intp)
+    if float(p.weights[members].sum()) <= 0.0:
+        raise ContractError("sampled a zero-probability class; classification is broken")
+    kets = b.kets[members]
+    proj = kets.T @ kets.conj()
+    m = proj @ d.entries @ proj
+    return k, members, DensityMatrix(m / float(np.trace(m).real))
 
 
 def measure_degenerate(
@@ -228,21 +251,14 @@ def measure_degenerate(
     class K occurs with probability sum_{i in K} p_i, and the post-state
     is P_K D P_K / Tr(P_K D P_K) with P_K the block projector. A pure
     input yields a pure post-state (back to the sphere surface). Classes
-    of zero probability are never sampled, so the normalization trace is
-    always positive.
+    of zero probability are never sampled; reaching one raises
+    ContractError.
     """
     blocks = validate_partition(partition, d.dim)
     p = born_probabilities(d, b)
-    lam = sample_lambda(d.dim, rng)
-    i = classify(lam, p)
-    k = int(_block_map(blocks, d.dim)[i])
-
-    members = np.asarray(blocks[k], dtype=np.intp)
-    kets = b.kets[members]
-    proj = kets.T @ kets.conj()
-    m = proj @ d.entries @ proj
-    weight = float(np.trace(m).real)
-    return k, DensityMatrix(m / weight)
+    i = classify(sample_lambda(d.dim, rng), p)
+    k, _, post = _lueders(d, b, blocks, p, i)
+    return k, post
 
 
 def _report_from_counts(n_trials: int, probs: Barycentric, counts: np.ndarray) -> TrialReport:
@@ -275,21 +291,15 @@ def run_trials(
     partition of singletons consumes the identical sample stream and
     therefore reproduces the non-degenerate tallies exactly.
     """
-    if n_trials < 1:
+    if _as_integer(n_trials, "n_trials") < 1:
         raise ContractError(f"n_trials must be >= 1, got {n_trials}")
     p = born_probabilities(d, b)
     pw = p.weights
     k = d.dim
-    rng = seed.generator()
 
     counts = np.zeros(k, dtype=np.int64)
-    remaining = n_trials
-    while remaining > 0:
-        m = min(remaining, _CHUNK)
-        draws = rng.exponential(size=(m, k))
-        lam = draws / draws.sum(axis=1, keepdims=True)
-        counts += np.bincount(_classify_batch(lam, pw), minlength=k)
-        remaining -= m
+    for lam in _lambda_rows(k, n_trials, seed.generator()):
+        counts += np.bincount(np.argmin(_ratios(lam, pw), axis=1), minlength=k)
 
     if partition is None:
         return _report_from_counts(n_trials, p, counts)
@@ -336,10 +346,10 @@ def geometric_hit_count_oracle(
     dimension; the statistics are affine-invariant, so any simplex of the
     right dimension gives the same law.
     """
-    if n_samples < 1:
+    if _as_integer(n_samples, "n_samples") < 1:
         raise ContractError(f"n_samples must be >= 1, got {n_samples}")
     pw = rpar.weights
-    if float(pw.min()) <= 1e-12:
+    if not float(pw.min()) > BOUNDARY_TOL:
         raise GeometryError("oracle requires r_par strictly inside the simplex")
     n = rpar.dim
     if simplex is None:
@@ -360,11 +370,8 @@ def geometric_hit_count_oracle(
     counts = np.zeros(n, dtype=np.int64)
     ties = 0
     disagreements = 0
-    remaining = n_samples
-    while remaining > 0:
-        m = min(remaining, _CHUNK)
-        draws = rng.exponential(size=(m, n))
-        lam = draws / draws.sum(axis=1, keepdims=True)
+    for lam in _lambda_rows(n, n_samples, rng):
+        m = lam.shape[0]
         x_aug = np.hstack([lam @ verts, np.ones((m, 1))])
 
         accept = np.empty((m, n), dtype=bool)
@@ -387,7 +394,7 @@ def geometric_hit_count_oracle(
             )
         member = np.argmax(accept, axis=1)
 
-        ratios = np.where(pw > 0.0, lam / pw, np.inf)
+        ratios = _ratios(lam, pw)
         argmin = np.argmin(ratios, axis=1)
         two_smallest = np.partition(ratios, 1, axis=1)
         tie_rows = (n_accept > 1) | (two_smallest[:, 1] - two_smallest[:, 0] <= TIE_BAND)
@@ -395,7 +402,6 @@ def geometric_hit_count_oracle(
         counts += np.bincount(member, minlength=n)
         ties += int(tie_rows.sum())
         disagreements += int(np.sum(~tie_rows & (member != argmin)))
-        remaining -= m
 
     return OracleReport(
         n_samples=n_samples,

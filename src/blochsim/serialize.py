@@ -11,10 +11,8 @@ import json
 
 import numpy as np
 
-from .bloch import DensityMatrix
 from .collapse import ProcessTrace
 from .errors import ContractError
-from .generators import GeneratorSet
 from .sampler import OracleReport, TrialReport
 from .simplex import MeasurementSimplex
 
@@ -127,10 +125,6 @@ def simplex_geometry_to_dict(s: MeasurementSimplex) -> dict:
     return {"vertices": [row for row in s.vertices], "total_measure": s.total_measure}
 
 
-def density_to_pairs(d: DensityMatrix) -> list:
-    return matrix_to_pairs(d.entries)
-
-
 def process_trace_to_dict(trace: ProcessTrace) -> dict:
     return {
         "outcome": trace.outcome + 1,
@@ -139,7 +133,7 @@ def process_trace_to_dict(trace: ProcessTrace) -> dict:
             {
                 "label": s.label,
                 "bloch": s.vector.coords,
-                "density": density_to_pairs(s.density),
+                "density": matrix_to_pairs(s.density.entries),
             }
             for s in trace.stages
         ],
@@ -156,12 +150,3 @@ def oracle_report_to_dict(report: OracleReport) -> dict:
         "disagreements": report.disagreements,
     }
 
-
-def generator_set_to_dict(g: GeneratorSet) -> dict:
-    """JSON form of a generator set for cross-implementation comparison."""
-    return {"dim": g.dim, "matrices": [matrix_to_pairs(m) for m in g.matrices]}
-
-
-def generator_set_from_dict(data: dict) -> GeneratorSet:
-    mats = np.array([pairs_to_matrix(m) for m in data["matrices"]])
-    return GeneratorSet(dim=int(data["dim"]), matrices=mats)

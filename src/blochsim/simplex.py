@@ -27,14 +27,7 @@ import numpy as np
 from .bloch import BlochVector, DensityMatrix, Ket, ket_to_density, to_bloch
 from .errors import BasisError, ContractError, DimensionError, GeometryError
 from .generators import GeneratorSet
-
-ALGEBRA_TOL = 1e-12
-GEOMETRY_TOL = 1e-10
-#: Points further than this from the affine hull are rejected.
-HULL_TOL = 1e-9
-#: Weights may dip this far below zero and still count as inside (valid
-#: states can land exactly on faces).
-BOUNDARY_TOL = 1e-12
+from .tolerances import ALGEBRA_TOL, BOUNDARY_TOL, HULL_TOL
 
 
 @dataclass(frozen=True)
@@ -52,7 +45,7 @@ class MeasurementBasis:
             raise DimensionError(f"basis must be N kets of length N (N >= 2), got shape {k.shape}")
         gram = k.conj() @ k.T
         resid = float(np.max(np.abs(gram - np.eye(k.shape[0]))))
-        if resid > ALGEBRA_TOL:
+        if not resid <= ALGEBRA_TOL:
             raise BasisError(f"basis is not orthonormal: max |<a_i|a_j> - delta_ij| = {resid:.3e}")
         k = k.copy()
         k.setflags(write=False)
@@ -89,10 +82,10 @@ class Barycentric:
         if w.ndim != 1 or w.size < 2:
             raise DimensionError(f"barycentric weights must be a vector of length >= 2, got shape {w.shape}")
         total = float(w.sum())
-        if abs(total - 1.0) > ALGEBRA_TOL:
+        if not abs(total - 1.0) <= ALGEBRA_TOL:
             raise ContractError(f"barycentric weights sum to {total!r}, expected 1")
         low = float(w.min())
-        if low < -BOUNDARY_TOL:
+        if not low >= -BOUNDARY_TOL:
             raise ContractError(f"barycentric weight {low!r} below -{BOUNDARY_TOL}")
         w = w.copy()
         w.setflags(write=False)
@@ -137,9 +130,6 @@ class MeasurementSimplex:
             a = np.asarray(getattr(self, name), dtype=np.float64).copy()
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    def vertex(self, i: int) -> BlochVector:
-        return BlochVector(dim=self.dim, coords=self.vertices[i])
 
 
 def simplex_measure(vertices: np.ndarray) -> float:
@@ -207,7 +197,7 @@ def affine_coordinates(point: BlochVector, s: MeasurementSimplex) -> np.ndarray:
     dev = point.coords - s.centroid
     y = s.frame @ dev
     off_hull = float(np.linalg.norm(dev - s.frame.T @ y))
-    if off_hull > HULL_TOL:
+    if not off_hull <= HULL_TOL:
         raise GeometryError(
             f"point is {off_hull:.3e} off the simplex affine hull (tolerance {HULL_TOL})"
         )
@@ -215,7 +205,7 @@ def affine_coordinates(point: BlochVector, s: MeasurementSimplex) -> np.ndarray:
     rhs = np.concatenate([y, [1.0]])
     weights, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     resid = float(np.linalg.norm(system @ weights - rhs))
-    if resid > HULL_TOL:
+    if not resid <= HULL_TOL:
         raise ContractError(f"barycentric solve residual {resid:.3e} exceeds {HULL_TOL}")
     return weights
 
@@ -228,7 +218,7 @@ def barycentric_of(point: BlochVector, s: MeasurementSimplex) -> Barycentric:
     """
     weights = affine_coordinates(point, s)
     low = float(weights.min())
-    if low < -BOUNDARY_TOL:
+    if not low >= -BOUNDARY_TOL:
         raise GeometryError(f"point lies outside the simplex: min weight {low!r}")
     return Barycentric(weights)
 
@@ -258,7 +248,7 @@ def born_probabilities(d: DensityMatrix, b: MeasurementBasis) -> Barycentric:
         raise DimensionError(f"state has dim {d.dim} but basis has dim {b.dim}")
     p = np.einsum("ij,jk,ik->i", b.kets.conj(), d.entries, b.kets)
     imag = float(np.max(np.abs(p.imag)))
-    if imag > ALGEBRA_TOL:
+    if not imag <= ALGEBRA_TOL:
         raise ContractError(f"<a_i|D|a_i> has imaginary residual {imag:.3e} > {ALGEBRA_TOL}")
     return Barycentric(p.real)
 
@@ -271,10 +261,7 @@ def subregion_measures(rpar: BlochVector, s: MeasurementSimplex) -> np.ndarray:
     rpar, which is the Born probability of outcome i. The point must lie
     inside the closed simplex.
     """
-    weights = affine_coordinates(rpar, s)
-    low = float(weights.min())
-    if low < -BOUNDARY_TOL:
-        raise GeometryError(f"rpar lies outside the simplex: min weight {low!r}")
+    barycentric_of(rpar, s)
     measures = np.empty(s.dim)
     for i in range(s.dim):
         verts = s.vertices.copy()

@@ -15,6 +15,7 @@ from blochsim import (
     purity,
     reduce_state,
     run_measurement,
+    measure_degenerate,
     run_trials,
     to_bloch,
 )
@@ -126,6 +127,16 @@ class TestRunMeasurement:
                 purified = trace.stage("purified").density
                 target = np.sqrt([0.0, 0.6, 0.4])
                 np.testing.assert_allclose(purified.entries, np.outer(target, target), atol=1e-12)
+
+    def test_degenerate_run_matches_measure_degenerate(self):
+        b = random_basis(np.random.default_rng(31), 4)
+        d = random_density(np.random.default_rng(32), 4)
+        blocks = [[0, 3], [1], [2]]
+        for s in range(20):
+            trace = run_measurement(d, b, partition=blocks, seed=RngSeed(s, stream=1))
+            k, post = measure_degenerate(d, b, blocks, RngSeed(s, stream=1).generator())
+            assert trace.outcome == k
+            np.testing.assert_array_equal(trace.stage("purified").density.entries, post.entries)
 
     def test_degenerate_class_probabilities_are_block_sums(self):
         d = standard_state_3()

@@ -6,7 +6,6 @@ from blochsim import (
     ContractError,
     DimensionError,
     GeometryError,
-    HiddenInteraction,
     Ket,
     MeasurementBasis,
     RngSeed,
@@ -25,6 +24,7 @@ from blochsim import (
     to_bloch,
     validate_partition,
 )
+from blochsim import sampler
 from util import cm_measure, random_ket, standard_state_3
 
 B3 = MeasurementBasis.canonical(3)
@@ -49,10 +49,6 @@ class TestRngSeed:
             RngSeed(2**64)
         with pytest.raises(ContractError):
             RngSeed(0, stream=-1)
-
-    def test_hidden_interaction_is_barycentric(self):
-        assert HiddenInteraction is Barycentric
-
 
 class TestSampleLambda:
     def test_two_outcome_point_is_a_complementary_pair(self):
@@ -167,6 +163,14 @@ class TestMeasureOnce:
             counts[measure_once(standard_state_3(), B3, rng)[0]] += 1
         np.testing.assert_array_equal(report.counts, counts)
 
+        blocks = ((0, 2), (1,))
+        fused = run_trials(standard_state_3(), B3, 500, RngSeed(91), partition=blocks)
+        rng = RngSeed(91).generator()
+        tallies = np.zeros(2, dtype=np.int64)
+        for _ in range(500):
+            tallies[measure_degenerate(standard_state_3(), B3, blocks, rng)[0]] += 1
+        np.testing.assert_array_equal(fused.counts, tallies)
+
 
 class TestRunTrials:
     def test_single_trial(self):
@@ -263,6 +267,7 @@ class TestPartitionValidation:
             [[0], [1], [2], [3]],
             [[0], []],
             [],
+            [[0], [1.5, 2]],
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -319,6 +324,13 @@ class TestMeasureDegenerate:
     def test_malformed_partition_rejected(self):
         with pytest.raises(ContractError):
             measure_degenerate(standard_state_3(), B3, [[0, 1]], RngSeed(0).generator())
+
+    def test_zero_weight_class_is_a_contract_violation(self, monkeypatch):
+        # reachable only through a broken classifier: outcome 3 has p = 0
+        d = ket_to_density(Ket(np.sqrt([0.5, 0.5, 0.0])))
+        monkeypatch.setattr(sampler, "classify", lambda lam, p: 2)
+        with pytest.raises(ContractError, match="zero-probability class"):
+            measure_degenerate(d, B3, [[0, 1], [2]], RngSeed(0).generator())
 
 
 class TestGeometricOracle:

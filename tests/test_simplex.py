@@ -139,7 +139,7 @@ class TestProjection:
 
 class TestBarycentric:
     def test_vertex(self, s3):
-        bc = barycentric_of(s3.vertex(1), s3)
+        bc = barycentric_of(BlochVector(3, s3.vertices[1]), s3)
         np.testing.assert_allclose(bc.weights, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_centroid(self, s3):
@@ -207,7 +207,7 @@ class TestSubregionMeasures:
         np.testing.assert_allclose(mus, np.full(3, s3.total_measure / 3), atol=1e-12)
 
     def test_vertex_degenerates(self, s3):
-        mus = subregion_measures(s3.vertex(0), s3)
+        mus = subregion_measures(BlochVector(3, s3.vertices[0]), s3)
         assert mus[0] == pytest.approx(s3.total_measure, abs=1e-12)
         np.testing.assert_allclose(mus[1:], 0.0, atol=1e-12)
 
