@@ -74,6 +74,8 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise DimensionError(f"density matrix must be square with N >= 2, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NormalizationError("matrix has non-finite entries")
         herm = float(np.max(np.abs(m - m.conj().T)))
         if not herm <= ALGEBRA_TOL:
             raise NormalizationError(f"matrix is not Hermitian: max |D - D^dagger| = {herm:.3e}")

@@ -248,8 +248,8 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> Experimen
         _fail("format", f"expected 'json' or 'csv', got {out_format!r}")
 
     out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        _fail("out", f"expected a path string, got {out!r}")
+    if out is not None and not (isinstance(out, str) and out):
+        _fail("out", f"expected a nonempty path string, got {out!r}")
 
     cfg = ExperimentConfig(
         dim=dim,

@@ -66,15 +66,18 @@ class ProcessTrace:
         return tuple(s.label for s in self.stages)
 
 
+def _diagonal(p: np.ndarray, kets: np.ndarray) -> DensityMatrix:
+    """sum_j p_j |a_j><a_j| over the rows |a_j> of kets."""
+    return DensityMatrix(np.einsum("j,ji,jk->ik", p, kets, kets.conj()))
+
+
 def reduce_state(d: DensityMatrix, b: MeasurementBasis) -> DensityMatrix:
     """The fully reduced state sum_j <a_j|D|a_j> |a_j><a_j|.
 
     Diagonal in the measurement basis, idempotent, and Bloch-equivalent
     to the orthogonal projection of D's vector onto the simplex.
     """
-    p = born_probabilities(d, b).weights
-    kets = b.kets
-    return DensityMatrix(np.einsum("j,ji,jk->ik", p, kets, kets.conj()))
+    return _diagonal(born_probabilities(d, b).weights, b.kets)
 
 
 def run_measurement(
@@ -96,7 +99,7 @@ def run_measurement(
     g = build_generators(n)
 
     stages = [ProcessStage("initial", to_bloch(d, g), d)]
-    reduced = reduce_state(d, b)
+    reduced = _diagonal(p.weights, b.kets)
     stages.append(ProcessStage("reduced", to_bloch(reduced, g), reduced))
 
     lam = sample_lambda(n, seed.generator())
@@ -108,9 +111,8 @@ def run_measurement(
         return ProcessTrace(stages=tuple(stages), outcome=i, lambda_point=lam)
 
     k, members, purified = _lueders(d, b, validate_partition(partition, n), p, i)
-    kets = b.kets[members]
     on_block = p.weights[members] / float(p.weights[members].sum())
-    collapsed = DensityMatrix(np.einsum("j,ji,jk->ik", on_block, kets, kets.conj()))
+    collapsed = _diagonal(on_block, b.kets[members])
     stages.append(ProcessStage("collapsed", to_bloch(collapsed, g), collapsed))
     stages.append(ProcessStage("purified", to_bloch(purified, g), purified))
     return ProcessTrace(stages=tuple(stages), outcome=k, lambda_point=lam)

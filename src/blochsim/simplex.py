@@ -43,6 +43,8 @@ class MeasurementBasis:
         k = np.asarray(self.kets, dtype=np.complex128)
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 2:
             raise DimensionError(f"basis must be N kets of length N (N >= 2), got shape {k.shape}")
+        if not np.isfinite(k).all():
+            raise BasisError("basis kets have non-finite entries")
         gram = k.conj() @ k.T
         resid = float(np.max(np.abs(gram - np.eye(k.shape[0]))))
         if not resid <= ALGEBRA_TOL:

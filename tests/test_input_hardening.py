@@ -109,13 +109,18 @@ class TestConfigExitCodes:
         assert _main_on(tmp_path, text) == 2
         assert "state.ket" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("out", [5, True, ["a"]])
+    @pytest.mark.parametrize("out", [5, True, ["a"], ""])
     def test_out_must_be_a_path_string(self, tmp_path, capsys, monkeypatch, out):
         monkeypatch.chdir(tmp_path)
         text = json.dumps({"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "out": out})
         assert _main_on(tmp_path, text) == 2
         assert "out:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_empty_out_flag_is_a_config_error(self, tmp_path, capsys):
+        text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}}'
+        assert _main_on(tmp_path, text, "--out", "") == 2
+        assert "out:" in capsys.readouterr().err
 
     def test_trials_flag_is_validated_as_the_config_field(self, tmp_path, capsys):
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}}'

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochsim import (
     Barycentric,
     ContractError,
+    DensityMatrix,
     DimensionError,
     GeometryError,
     Ket,
@@ -253,6 +256,51 @@ class TestRunTrials:
         b = run_trials(B3.projector(0), B3, 100, RngSeed(1))
         with pytest.raises(ContractError):
             merge_reports([a, b])
+
+
+def _normalising_rule(p: np.ndarray, n_trials: int, seed: RngSeed):
+    """Rows on the simplex and their outcomes under the normalising rule.
+
+    One draw of all rows, each normalised by its sum, b_j / p_j with +inf
+    where p_j = 0, argmin per row.
+    """
+    lam = seed.generator().exponential(size=(n_trials, p.size))
+    lam /= lam.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        outcomes = np.argmin(np.where(p > 0, lam / p, np.inf), axis=1)
+    return lam, outcomes
+
+
+@st.composite
+def _born_vectors(draw):
+    """A Born vector of length 2..32 with some zero entries and at least one positive."""
+    n = draw(st.integers(2, 32))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    zeros = draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
+    w[zeros] = 0.0
+    return w / w.sum()
+
+
+class TestLeanKernel:
+    """The unnormalised, support-only trial loop against the normalising rule."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(p=_born_vectors(), offset=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 2**32))
+    def test_counts_match_the_normalising_rule_across_a_chunk_boundary(self, p, offset, seed):
+        n = p.size
+        d = DensityMatrix(np.diag(p).astype(complex))
+        b = MeasurementBasis.canonical(n)
+        np.testing.assert_array_equal(born_probabilities(d, b).weights, p)
+        n_trials = sampler._CHUNK_ELEMS // n + offset
+
+        report = run_trials(d, b, n_trials, RngSeed(seed))
+        lam, outcomes = _normalising_rule(p, n_trials, RngSeed(seed))
+
+        np.testing.assert_array_equal(report.counts, np.bincount(outcomes, minlength=n))
+        assert not report.counts[p == 0].any()
+        probs = Barycentric(p)
+        for row in (*range(5), *range(n_trials - 5, n_trials)):
+            assert classify(Barycentric(lam[row]), probs) == outcomes[row]
 
 
 class TestPartitionValidation:
