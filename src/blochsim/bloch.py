@@ -91,8 +91,8 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
-    def is_positive_semidefinite(self, tol: float = EIGEN_TOL) -> bool:
-        return self.min_eigenvalue() >= -tol
+    def is_positive_semidefinite(self) -> bool:
+        return self.min_eigenvalue() >= -EIGEN_TOL
 
 
 @dataclass(frozen=True)

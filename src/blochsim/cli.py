@@ -34,9 +34,9 @@ from pathlib import Path
 
 from .bloch import DensityMatrix, Ket, ket_to_density
 from .collapse import run_measurement
-from .errors import BlochSimError, ConfigError
+from .errors import BlochSimError, ConfigError, ContractError
 from .generators import build_generators
-from .sampler import RngSeed, geometric_hit_count_oracle, run_trials
+from .sampler import RngSeed, _set_partition, geometric_hit_count_oracle, run_trials
 from .serialize import (
     dumps,
     oracle_report_to_dict,
@@ -146,31 +146,6 @@ def _parse_basis(raw, dim: int) -> MeasurementBasis:
         _fail("basis", str(exc))
 
 
-def _parse_partition_blocks(blocks, dim: int) -> tuple[tuple[int, ...], ...]:
-    """Validate 1-based partition blocks and convert to 0-based tuples."""
-    zero_based = []
-    for blk in blocks:
-        if not isinstance(blk, (list, tuple)) or not blk:
-            _fail("partition", f"expected nonempty index blocks, got {blk!r}")
-        converted = []
-        for idx in blk:
-            i = _as_int(idx, "partition")
-            if not 1 <= i <= dim:
-                _fail("partition", f"index {i} out of range 1..{dim}")
-            converted.append(i - 1)
-        zero_based.append(tuple(converted))
-    seen: set[int] = set()
-    for blk in zero_based:
-        for i in blk:
-            if i in seen:
-                _fail("partition", f"duplicate index {i + 1}")
-            seen.add(i)
-    if len(seen) != dim:
-        missing = sorted(set(range(dim)) - seen)
-        _fail("partition", f"does not cover outcomes {[i + 1 for i in missing]}")
-    return tuple(zero_based)
-
-
 def _split_partition_flag(text: str) -> list[list[int]]:
     """The ``--partition "1|2,3"`` syntax as raw 1-based config blocks."""
     blocks = [[token.strip() for token in chunk.split(",")] for chunk in text.split("|")]
@@ -178,11 +153,6 @@ def _split_partition_flag(text: str) -> list[list[int]]:
         if not token.isdigit():
             _fail("partition", f"expected positive integers, got {token!r}")
     return [[int(token) for token in blk] for blk in blocks]
-
-
-def parse_partition_flag(text: str, dim: int) -> tuple[tuple[int, ...], ...]:
-    """Parse the ``--partition "1|2,3"`` syntax (1-based, '|' between blocks)."""
-    return _parse_partition_blocks(_split_partition_flag(text), dim)
 
 
 def parse_config(source: str | Path, overrides: dict | None = None) -> ExperimentConfig:
@@ -230,7 +200,11 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> Experimen
     if raw.get("partition") is not None:
         if not isinstance(raw["partition"], list):
             _fail("partition", "expected a list of index blocks")
-        partition = _parse_partition_blocks(raw["partition"], dim)
+        try:
+            blocks = _set_partition(raw["partition"], range(1, dim + 1))
+        except ContractError as exc:
+            _fail("partition", str(exc))
+        partition = tuple(tuple(i - 1 for i in blk) for blk in blocks)
 
     n_trials = _as_int(raw.get("n_trials", DEFAULT_TRIALS), "n_trials")
     if n_trials < 1:
@@ -238,6 +212,8 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> Experimen
 
     seed_value = _as_int(raw.get("seed", 0), "seed")
     stream = _as_int(raw.get("stream", 0), "stream")
+    if stream < 0:
+        _fail("stream", f"must be >= 0, got {stream}")
     try:
         seed = RngSeed(seed=seed_value, stream=stream)
     except BlochSimError as exc:

@@ -70,7 +70,9 @@ _CHUNK_ELEMS = 1 << 18
 
 
 def _as_integer(value, what: str) -> int:
-    """``value`` as an int; a non-integer is a ContractError, not a TypeError."""
+    """``value`` as an int; a non-integer or a bool is a ContractError, not a TypeError."""
+    if isinstance(value, bool):
+        raise ContractError(f"{what} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:
@@ -89,10 +91,13 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self):
-        if not 0 <= _as_integer(self.seed, "seed") < 2**64:
-            raise ContractError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if _as_integer(self.stream, "stream id") < 0:
-            raise ContractError(f"stream id must be nonnegative, got {self.stream!r}")
+        seed, stream = _as_integer(self.seed, "seed"), _as_integer(self.stream, "stream id")
+        if not 0 <= seed < 2**64:
+            raise ContractError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        if stream < 0:
+            raise ContractError(f"stream id must be nonnegative, got {stream!r}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream", stream)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
@@ -101,55 +106,67 @@ class RngSeed:
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Statistics of a repeated-measurement run.
+    """A repeated-measurement run: its counts against the Born weights.
 
     ``exact_probs`` are the Born probabilities (per outcome, or per
     partition class for degenerate runs), ``counts`` the observed tallies.
-    ``chi_square`` is computed against the exact probabilities over the
-    entries with positive probability; ``max_abs_deviation`` is the
-    largest |frequency - probability| over all entries.
+    The statistics are derived from these on access:
+    ``empirical_freqs`` is counts / n_trials, ``chi_square`` is computed
+    against the exact probabilities over the entries with positive
+    probability, and ``max_abs_deviation`` is the largest
+    |frequency - probability| over all entries.
     """
 
     n_trials: int
     exact_probs: Barycentric
     counts: np.ndarray
-    empirical_freqs: np.ndarray
-    chi_square: float
-    max_abs_deviation: float
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
-        freqs = np.asarray(self.empirical_freqs, dtype=np.float64)
-        if counts.shape != (self.exact_probs.dim,) or freqs.shape != counts.shape:
-            raise DimensionError("counts/frequencies do not match the probability vector")
+        if counts.shape != (self.exact_probs.dim,):
+            raise DimensionError("counts do not match the probability vector")
         if int(counts.sum()) != self.n_trials:
             raise ContractError(
                 f"counts sum to {int(counts.sum())}, expected n_trials = {self.n_trials}"
             )
-        if not np.array_equal(freqs, counts / self.n_trials):
-            raise ContractError("empirical_freqs must equal counts / n_trials")
         counts.setflags(write=False)
-        freqs.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "empirical_freqs", freqs)
+
+    @property
+    def empirical_freqs(self) -> np.ndarray:
+        return self.counts / self.n_trials
+
+    @property
+    def chi_square(self) -> float:
+        p = self.exact_probs.weights
+        positive = p > 0.0
+        expected = self.n_trials * p[positive]
+        return float(np.sum((self.counts[positive] - expected) ** 2 / expected))
+
+    @property
+    def max_abs_deviation(self) -> float:
+        return float(np.max(np.abs(self.empirical_freqs - self.exact_probs.weights)))
 
 
 @dataclass(frozen=True)
 class OracleReport:
     """Hit statistics of the brute-force membership oracle.
 
-    ``counts``/``fractions`` are per sub-region; ``ties`` counts samples
-    within the 1e-10 band of a region boundary (under either rule);
-    ``disagreements`` counts non-tie samples where the membership solve
-    and the ratio-argmin rule picked different regions (always 0 unless
-    the geometry is buggy).
+    ``counts`` are per sub-region; ``ties`` counts samples within the
+    1e-10 band of a region boundary (under either rule); ``disagreements``
+    counts non-tie samples where the membership solve and the
+    ratio-argmin rule picked different regions (always 0 unless the
+    geometry is buggy). ``fractions`` and ``agreements`` are derived.
     """
 
     n_samples: int
     counts: np.ndarray
-    fractions: np.ndarray
     ties: int
     disagreements: int
+
+    @property
+    def fractions(self) -> np.ndarray:
+        return self.counts / self.n_samples
 
     @property
     def agreements(self) -> int:
@@ -161,9 +178,6 @@ class OracleReport:
             raise ContractError("oracle counts must sum to the sample count")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        fr = np.asarray(self.fractions, dtype=np.float64)
-        fr.setflags(write=False)
-        object.__setattr__(self, "fractions", fr)
 
 
 def _exponential_rows(n: int, count: int, rng: np.random.Generator):
@@ -237,26 +251,42 @@ def measure_once(
     return i, b.projector(i)
 
 
-def validate_partition(partition, n: int) -> tuple[tuple[int, ...], ...]:
-    """Check that partition is a set partition of range(n); returns it as tuples."""
+def _set_partition(partition, labels: range) -> tuple[tuple[int, ...], ...]:
+    """Check that partition is a set partition of ``labels``; returns it as tuples.
+
+    The one partition rule: nonempty blocks of integers (not bools), each
+    label in exactly one block. Messages quote the labels as given (1-based
+    for the CLI) and leave naming the field to the caller.
+    """
     try:
-        blocks = tuple(tuple(_as_integer(i, "partition index") for i in blk) for blk in partition)
+        blocks = tuple(tuple(_as_integer(i, "index") for i in blk) for blk in partition)
     except TypeError as exc:
-        raise ContractError(f"partition must be an iterable of index blocks: {exc}") from exc
+        raise ContractError(f"expected an iterable of index blocks ({exc})") from exc
     if not blocks or any(not blk for blk in blocks):
-        raise ContractError("partition must consist of nonempty blocks")
+        raise ContractError("expected nonempty index blocks")
     seen: set[int] = set()
     for blk in blocks:
         for i in blk:
-            if not 0 <= i < n:
-                raise ContractError(f"partition index {i} out of range for {n} outcomes")
+            if i not in labels:
+                raise ContractError(f"index {i} out of range {labels.start}..{labels.stop - 1}")
             if i in seen:
-                raise ContractError(f"partition has duplicate index {i}")
+                raise ContractError(f"duplicate index {i}")
             seen.add(i)
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
-        raise ContractError(f"partition does not cover outcomes {missing}")
+    if len(seen) != len(labels):
+        raise ContractError(f"does not cover outcomes {sorted(set(labels) - seen)}")
     return blocks
+
+
+def validate_partition(partition, n: int) -> tuple[tuple[int, ...], ...]:
+    """Check that partition is a set partition of range(n); returns it as tuples.
+
+    A violation is a ContractError whose message starts with
+    ``partition:``, e.g. ``partition: duplicate index 1``.
+    """
+    try:
+        return _set_partition(partition, range(n))
+    except ContractError as exc:
+        raise ContractError(f"partition: {exc}") from None
 
 
 def _lueders(d: DensityMatrix, b: MeasurementBasis, blocks, p: Barycentric, i: int):
@@ -296,23 +326,6 @@ def measure_degenerate(
     return k, post
 
 
-def _report_from_counts(n_trials: int, probs: Barycentric, counts: np.ndarray) -> TrialReport:
-    p = probs.weights
-    freqs = counts / n_trials
-    positive = p > 0.0
-    expected = n_trials * p[positive]
-    chi_square = float(np.sum((counts[positive] - expected) ** 2 / expected))
-    max_dev = float(np.max(np.abs(freqs - p)))
-    return TrialReport(
-        n_trials=n_trials,
-        exact_probs=probs,
-        counts=counts,
-        empirical_freqs=freqs,
-        chi_square=chi_square,
-        max_abs_deviation=max_dev,
-    )
-
-
 def run_trials(
     d: DensityMatrix,
     b: MeasurementBasis,
@@ -326,7 +339,8 @@ def run_trials(
     partition of singletons consumes the identical sample stream and
     therefore reproduces the non-degenerate tallies exactly.
     """
-    if _as_integer(n_trials, "n_trials") < 1:
+    n_trials = _as_integer(n_trials, "n_trials")
+    if n_trials < 1:
         raise ContractError(f"n_trials must be >= 1, got {n_trials}")
     p = born_probabilities(d, b)
     pw = p.weights
@@ -338,12 +352,12 @@ def run_trials(
         counts[sup] += np.bincount(np.argmin(ratios, axis=1), minlength=sup.size)
 
     if partition is None:
-        return _report_from_counts(n_trials, p, counts)
+        return TrialReport(n_trials, p, counts)
 
     blocks = validate_partition(partition, k)
     class_counts = np.array([counts[np.asarray(blk, dtype=np.intp)].sum() for blk in blocks])
     class_probs = np.array([pw[np.asarray(blk, dtype=np.intp)].sum() for blk in blocks])
-    return _report_from_counts(n_trials, Barycentric(class_probs), class_counts)
+    return TrialReport(n_trials, Barycentric(class_probs), class_counts)
 
 
 def merge_reports(reports) -> TrialReport:
@@ -357,7 +371,7 @@ def merge_reports(reports) -> TrialReport:
             raise ContractError("reports to merge must share identical exact probabilities")
     counts = np.sum([r.counts for r in reports], axis=0)
     total = int(sum(r.n_trials for r in reports))
-    return _report_from_counts(total, probs, counts)
+    return TrialReport(total, probs, counts)
 
 
 def geometric_hit_count_oracle(
@@ -382,7 +396,8 @@ def geometric_hit_count_oracle(
     dimension; the statistics are affine-invariant, so any simplex of the
     right dimension gives the same law.
     """
-    if _as_integer(n_samples, "n_samples") < 1:
+    n_samples = _as_integer(n_samples, "n_samples")
+    if n_samples < 1:
         raise ContractError(f"n_samples must be >= 1, got {n_samples}")
     pw = rpar.weights
     if not float(pw.min()) > BOUNDARY_TOL:
@@ -439,10 +454,4 @@ def geometric_hit_count_oracle(
         ties += int(tie_rows.sum())
         disagreements += int(np.sum(~tie_rows & (member != argmin)))
 
-    return OracleReport(
-        n_samples=n_samples,
-        counts=counts,
-        fractions=counts / n_samples,
-        ties=ties,
-        disagreements=disagreements,
-    )
+    return OracleReport(n_samples, counts, ties, disagreements)

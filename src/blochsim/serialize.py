@@ -82,9 +82,11 @@ def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def pairs_to_vector(pairs) -> np.ndarray:
+    """[re, im] pairs of numbers as a complex vector; strings and bools are a TypeError."""
     out = np.empty(len(pairs), dtype=np.complex128)
-    for i, entry in enumerate(pairs):
-        re, im = entry
+    for i, (re, im) in enumerate(pairs):
+        if isinstance(re, (str, bool)) or isinstance(im, (str, bool)):
+            raise TypeError(f"expected numbers, got [{re!r}, {im!r}]")
         out[i] = complex(float(re), float(im))
     return out
 

@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blochsim import ConfigError
-from blochsim.cli import main, parse_config, parse_partition_flag, run_experiment
+from blochsim import ConfigError, ContractError, validate_partition
+from blochsim.cli import main, parse_config, run_experiment
 
 MINIMAL = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}}'
 
@@ -110,12 +112,72 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="csv"):
             parse_config(bad)
 
-    def test_partition_flag_syntax(self):
-        assert parse_partition_flag("1|2,3", 3) == ((0,), (1, 2))
-        with pytest.raises(ConfigError):
-            parse_partition_flag("1|x", 3)
-        with pytest.raises(ConfigError):
-            parse_partition_flag("0|1,2", 3)
+    def test_partition_flag_syntax(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(THREE_LEVEL)
+        assert main(["--config", str(path), "--trials", "100", "--partition", "1|2,3"]) == 0
+        assert json.loads(capsys.readouterr().out)["partition"] == [[1], [2, 3]]
+        assert parse_config(THREE_LEVEL, {"partition": [[1], [2, 3]]}).partition == ((0,), (1, 2))
+        assert main(["--config", str(path), "--partition", "1|x"]) == 2
+        assert "partition: expected positive integers, got 'x'" in capsys.readouterr().err
+        assert main(["--config", str(path), "--partition", "0|1,2"]) == 2
+        assert "partition: index 0 out of range 1..3" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="partition: index must be an integer"):
+            parse_config(THREE_LEVEL, {"partition": [[1], ["x"]]})
+        with pytest.raises(ConfigError, match="out of range"):
+            parse_config(THREE_LEVEL, {"partition": [[0], [1, 2]]})
+
+
+#: Entries that are not labels 1..dim: the neighbours 0 and dim + 1 are
+#: added per draw; bools, floats and strings are not integers.
+_NOT_A_LABEL = [True, False, 1.0, 2.5, "1"]
+
+
+@st.composite
+def _one_based_blocks(draw):
+    """(dim, 1-based blocks): a set partition of 1..dim, often with one defect."""
+    dim = draw(st.integers(2, 5))
+    labels = draw(st.permutations(range(1, dim + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1))))
+    blocks = [list(labels[a:b]) for a, b in zip([0, *cuts], [*cuts, dim])]
+    k = draw(st.integers(0, len(blocks) - 1))
+    defect = draw(st.sampled_from(["none", "duplicate", "gap", "replace", "empty block"]))
+    if defect == "duplicate":
+        blocks[k].append(draw(st.integers(1, dim)))
+    elif defect == "gap":
+        blocks[k].pop(draw(st.integers(0, len(blocks[k]) - 1)))
+    elif defect == "replace":
+        j = draw(st.integers(0, len(blocks[k]) - 1))
+        blocks[k][j] = draw(st.sampled_from([0, dim + 1, *_NOT_A_LABEL]))
+    elif defect == "empty block":
+        blocks.insert(k, [])
+    return dim, blocks
+
+
+def _shift(blocks):
+    """The 0-based shift of 1-based blocks; only true ints are shifted."""
+    return [[i - 1 if type(i) is int else i for i in blk] for blk in blocks]
+
+
+class TestOnePartitionRule:
+    """The CLI's partition field follows exactly the library's partition rule."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_one_based_blocks())
+    def test_parse_config_agrees_with_validate_partition(self, case):
+        dim, blocks = case
+        try:
+            expected = validate_partition(_shift(blocks), dim)
+        except ContractError:
+            expected = None
+        ket = [[1, 0]] + [[0, 0]] * (dim - 1)
+        text = json.dumps({"dim": dim, "state": {"ket": ket}, "partition": blocks})
+        try:
+            got = parse_config(text).partition
+        except ConfigError as exc:
+            assert str(exc).startswith("partition: ")
+            got = None
+        assert got == expected
 
 
 class TestRunExperiment:

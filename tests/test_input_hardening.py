@@ -78,18 +78,22 @@ def test_nan_ket_never_reaches_the_sampler():
 
 class TestIntegerCounts:
     def test_non_integer_seed(self):
-        with pytest.raises(ContractError, match="seed must be an integer"):
-            RngSeed(1.5)
-        with pytest.raises(ContractError, match="stream id must be an integer"):
-            RngSeed(1, stream=0.5)
+        for bad in (1.5, True):
+            with pytest.raises(ContractError, match="seed must be an integer"):
+                RngSeed(bad)
+            with pytest.raises(ContractError, match="stream id must be an integer"):
+                RngSeed(1, stream=bad)
 
     def test_non_integer_trial_count(self):
-        with pytest.raises(ContractError, match="n_trials must be an integer"):
-            run_trials(standard_state_3(), MeasurementBasis.canonical(3), 10.0, RngSeed(0))
+        for bad in (10.0, True):
+            with pytest.raises(ContractError, match="n_trials must be an integer"):
+                run_trials(standard_state_3(), MeasurementBasis.canonical(3), bad, RngSeed(0))
 
     def test_non_integer_oracle_sample_count(self):
-        with pytest.raises(ContractError, match="n_samples must be an integer"):
-            geometric_hit_count_oracle(Barycentric([0.5, 0.3, 0.2]), 100.0, np.random.default_rng())
+        rng = np.random.default_rng()
+        for bad in (100.0, True):
+            with pytest.raises(ContractError, match="n_samples must be an integer"):
+                geometric_hit_count_oracle(Barycentric([0.5, 0.3, 0.2]), bad, rng)
 
     def test_numpy_integers_still_accepted(self):
         b = MeasurementBasis.canonical(3)
@@ -131,6 +135,24 @@ class TestConfigExitCodes:
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}}'
         assert _main_on(tmp_path, text, "--seed", str(2**64)) == 2
         assert "seed:" in capsys.readouterr().err
+
+    def test_negative_stream_names_the_stream_field(self, tmp_path, capsys):
+        text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "stream": -1}'
+        assert _main_on(tmp_path, text) == 2
+        assert "stream: must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["1", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("field", ["state.ket", "state.density", "basis"])
+    def test_complex_entries_must_be_numbers(self, tmp_path, capsys, field, entry):
+        cfg = {"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}}
+        if field == "state.ket":
+            cfg["state"] = {"ket": [[entry, 0], [0, 0]]}
+        elif field == "state.density":
+            cfg["state"] = {"density": [[[entry, 0], [0, 0]], [[0, 0], [0, 0]]]}
+        else:
+            cfg["basis"] = [[[entry, 0], [0, 0]], [[0, 0], [1, 0]]]
+        assert _main_on(tmp_path, json.dumps(cfg)) == 2
+        assert f"{field}: expected" in capsys.readouterr().err
 
     def test_csv_flag_conflicts_with_config_sections(self, tmp_path, capsys):
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "trace": true}'

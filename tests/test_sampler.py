@@ -316,6 +316,7 @@ class TestPartitionValidation:
             [[0], []],
             [],
             [[0], [1.5, 2]],
+            [[True], [0, 2]],
         ],
     )
     def test_rejects_malformed(self, bad):
