@@ -210,14 +210,12 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> Experimen
     if n_trials < 1:
         _fail("n_trials", f"must be >= 1, got {n_trials}")
 
-    seed_value = _as_int(raw.get("seed", 0), "seed")
+    seed = _as_int(raw.get("seed", 0), "seed")
+    if not 0 <= seed < 2**64:
+        _fail("seed", f"must be an unsigned 64-bit integer, got {seed}")
     stream = _as_int(raw.get("stream", 0), "stream")
     if stream < 0:
         _fail("stream", f"must be >= 0, got {stream}")
-    try:
-        seed = RngSeed(seed=seed_value, stream=stream)
-    except BlochSimError as exc:
-        _fail("seed", str(exc))
 
     out_format = raw.get("format", "json")
     if out_format not in ("json", "csv"):
@@ -233,7 +231,7 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> Experimen
         basis=basis,
         partition=partition,
         n_trials=n_trials,
-        seed=seed,
+        seed=RngSeed(seed=seed, stream=stream),
         out_format=out_format,
         dump_geometry=_as_bool(raw.get("dump_geometry", False), "dump_geometry"),
         trace=_as_bool(raw.get("trace", False), "trace"),

@@ -3,6 +3,14 @@
 Floats are printed with 12 significant digits and dictionary keys keep
 insertion order, so identical inputs produce byte-identical artifacts.
 Complex scalars travel as [re, im] pairs.
+
+Float and integer arrays are written an array at a time: one finiteness
+check per float array, then one ``.12g`` (``str`` for integers) per
+number of its ``tolist()``, joined with ", " into nested [...] lists.
+The text is the one that writing each element on its own gives, and so
+is the error: the first non-finite value in row-major order is named.
+Other arrays (bool, complex) and other objects are written element by
+element.
 """
 
 from __future__ import annotations
@@ -22,6 +30,22 @@ def format_float(x: float) -> str:
     if not np.isfinite(x):
         raise ContractError(f"cannot serialize non-finite number {x!r}")
     return f"{x:.12g}"
+
+
+def _nested(items: list, depth: int, fmt) -> str:
+    if depth == 1:
+        return "[" + ", ".join(map(fmt, items)) + "]"
+    return "[" + ", ".join(_nested(item, depth - 1, fmt) for item in items) + "]"
+
+
+def _array_text(a: np.ndarray) -> str:
+    """A float or integer array of one or more dimensions as nested JSON lists."""
+    if a.dtype.kind == "f":
+        finite = np.isfinite(a)
+        if not finite.all():
+            format_float(a[~finite][0])
+        return _nested(a.astype(np.float64, copy=False).tolist(), a.ndim, "{:.12g}".format)
+    return _nested(a.tolist(), a.ndim, str)
 
 
 def _write(obj, parts: list[str], indent: int) -> None:
@@ -47,6 +71,8 @@ def _write(obj, parts: list[str], indent: int) -> None:
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         parts.append(format_float(obj))
+    elif isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in "fiu":
+        parts.append(_array_text(obj))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)
         if not items:
@@ -69,16 +95,10 @@ def dumps(obj) -> str:
     return "".join(parts)
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def vector_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_pair(z) for z in np.asarray(v, dtype=np.complex128)]
-
-
-def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [vector_to_pairs(row) for row in np.asarray(m, dtype=np.complex128)]
+def matrix_to_pairs(m: np.ndarray) -> np.ndarray:
+    """A complex matrix as the (rows, cols, 2) float array of its [re, im] pairs."""
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack([m.real, m.imag], axis=-1)
 
 
 def pairs_to_vector(pairs) -> np.ndarray:
@@ -114,17 +134,18 @@ def trial_report_to_csv(report: TrialReport) -> str:
     lines = ["outcome,exact_prob,count,empirical_freq,chi_square,max_abs_deviation"]
     chi = format_float(report.chi_square)
     dev = format_float(report.max_abs_deviation)
+    freqs = report.empirical_freqs
     for i in range(report.exact_probs.dim):
         lines.append(
             f"{i + 1},{format_float(report.exact_probs.weights[i])},"
-            f"{int(report.counts[i])},{format_float(report.empirical_freqs[i])},"
+            f"{int(report.counts[i])},{format_float(freqs[i])},"
             f"{chi},{dev}"
         )
     return "\n".join(lines) + "\n"
 
 
 def simplex_geometry_to_dict(s: MeasurementSimplex) -> dict:
-    return {"vertices": [row for row in s.vertices], "total_measure": s.total_measure}
+    return {"vertices": s.vertices, "total_measure": s.total_measure}
 
 
 def process_trace_to_dict(trace: ProcessTrace) -> dict:

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,3 +320,13 @@ class TestMain:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["counts"] == [50, 0]
+
+    def test_readme_example_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        config, report = re.findall(r"```json\n(.*?)```", readme, re.S)[:2]
+        path = tmp_path / "experiment.json"
+        path.write_text(config)
+        assert main(["--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["counts"] == [500473, 299795, 199732]
+        assert out == report

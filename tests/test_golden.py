@@ -26,6 +26,13 @@ def _mixed_8() -> list:
     return [[[z.real, z.imag] for z in row] for row in d]
 
 
+def _random_basis_8() -> list:
+    """A seeded Haar-like N=8 orthonormal basis: the Q factor of a complex Gaussian matrix."""
+    rng = np.random.default_rng(2016)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    return [[[z.real, z.imag] for z in ket] for ket in q.T]
+
+
 _THREE = {
     "dim": 3,
     "state": {"ket": [[_R2, 0], [float(np.sqrt(0.3)), 0], [0, float(np.sqrt(0.2))]]},
@@ -54,12 +61,19 @@ CASES = {
          "partition": [[1, 2], [3, 4, 5], [6, 7, 8]]},
         ["--trace"],
     ),
+    "geometry-trace-n8": (
+        {"dim": 8, "state": {"density": _mixed_8()}, "basis": _random_basis_8(),
+         "n_trials": 20000, "seed": 13, "partition": [[1, 4], [2, 3, 5], [6], [7, 8]]},
+        ["--dump-geometry", "--trace"],
+    ),
 }
 
-#: SHA-256 of each case's report, recorded before the consolidation.
+#: SHA-256 of each case's report, recorded before the consolidation;
+#: ``geometry-trace-n8`` was recorded before the array-at-a-time serializer.
 DIGESTS = {
     "csv": "ba1b6acd7ee8ecb86b2af4b2ff7589dff4435876b5659bfee2561e938f08d4d0",
     "geometry-trace": "9aebc94c3eb89d221b86330a18793cd90a3e5cfe0a448db007b00890ad2ff978",
+    "geometry-trace-n8": "772a756bf593790625b3fa00ca70921a133ca2c2fd1b5990c6e8da992ecc04da",
     "mixed-n8": "a38c5e86df4e0889da56732647e9449d80860b053c6a5595834be173855b245f",
     "oracle": "2b51dd8c43761a36c8afab490df7a1646430ba25985cdf2335c15085fd1e5a87",
     "partition": "0bb76fb89a13c4975db3980f2c048678c4499169817248291733a6ecfcf3e759",

@@ -134,7 +134,14 @@ class TestConfigExitCodes:
     def test_seed_flag_is_validated_as_the_config_field(self, tmp_path, capsys):
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}}'
         assert _main_on(tmp_path, text, "--seed", str(2**64)) == 2
-        assert "seed:" in capsys.readouterr().err
+        assert f"seed: must be an unsigned 64-bit integer, got {2**64}" in capsys.readouterr().err
+
+    def test_negative_seed_names_the_seed_field_once(self, tmp_path, capsys):
+        text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "seed": -1}'
+        assert _main_on(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert "seed: must be an unsigned 64-bit integer, got -1" in err
+        assert err.count("seed") == 1
 
     def test_negative_stream_names_the_stream_field(self, tmp_path, capsys):
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "stream": -1}'
