@@ -35,7 +35,6 @@ from pathlib import Path
 from .bloch import DensityMatrix, Ket, ket_to_density
 from .collapse import run_measurement
 from .errors import BlochSimError, ConfigError, ContractError
-from .generators import build_generators
 from .sampler import RngSeed, _set_partition, geometric_hit_count_oracle, run_trials
 from .serialize import (
     dumps,
@@ -150,7 +149,7 @@ def _split_partition_flag(text: str) -> list[list[int]]:
     """The ``--partition "1|2,3"`` syntax as raw 1-based config blocks."""
     blocks = [[token.strip() for token in chunk.split(",")] for chunk in text.split("|")]
     for token in (token for blk in blocks for token in blk):
-        if not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             _fail("partition", f"expected positive integers, got {token!r}")
     return [[int(token) for token in blk] for blk in blocks]
 
@@ -255,7 +254,7 @@ def _render(cfg: ExperimentConfig) -> str:
 
     needs_geometry = cfg.dump_geometry or cfg.oracle_check
     if needs_geometry:
-        simplex = basis_to_simplex(cfg.basis, build_generators(cfg.dim))
+        simplex = basis_to_simplex(cfg.basis)
     if cfg.dump_geometry:
         doc["geometry"] = simplex_geometry_to_dict(simplex)
     if cfg.trace:

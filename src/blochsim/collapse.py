@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochVector, DensityMatrix, to_bloch
-from .generators import build_generators
+from .bloch import BlochVector, DensityMatrix, _bloch_rows
 from .sampler import (
     Barycentric,
     RngSeed,
@@ -96,23 +95,23 @@ def run_measurement(
     """
     p = born_probabilities(d, b)
     n = d.dim
-    g = build_generators(n)
-
-    stages = [ProcessStage("initial", to_bloch(d, g), d)]
     reduced = _diagonal(p.weights, b.kets)
-    stages.append(ProcessStage("reduced", to_bloch(reduced, g), reduced))
-
     lam = sample_lambda(n, seed.generator())
     i = classify(lam, p)
 
     if partition is None:
-        collapsed = b.projector(i)
-        stages.append(ProcessStage("collapsed", to_bloch(collapsed, g), collapsed))
-        return ProcessTrace(stages=tuple(stages), outcome=i, lambda_point=lam)
+        labels = ("initial", "reduced", "collapsed")
+        densities = (d, reduced, b.projector(i))
+        outcome = i
+    else:
+        outcome, members, purified = _lueders(d, b, validate_partition(partition, n), p, i)
+        on_block = p.weights[members] / float(p.weights[members].sum())
+        labels = ("initial", "reduced", "collapsed", "purified")
+        densities = (d, reduced, _diagonal(on_block, b.kets[members]), purified)
 
-    k, members, purified = _lueders(d, b, validate_partition(partition, n), p, i)
-    on_block = p.weights[members] / float(p.weights[members].sum())
-    collapsed = _diagonal(on_block, b.kets[members])
-    stages.append(ProcessStage("collapsed", to_bloch(collapsed, g), collapsed))
-    stages.append(ProcessStage("purified", to_bloch(purified, g), purified))
-    return ProcessTrace(stages=tuple(stages), outcome=k, lambda_point=lam)
+    rows = _bloch_rows(np.stack([rho.entries for rho in densities]))
+    stages = tuple(
+        ProcessStage(label, BlochVector(dim=n, coords=r), rho)
+        for label, r, rho in zip(labels, rows, densities)
+    )
+    return ProcessTrace(stages=stages, outcome=outcome, lambda_point=lam)

@@ -18,6 +18,14 @@ permutation of the textbook Gell-Mann numbering: our order corresponds to
 (lambda_1, lambda_4, lambda_6, lambda_2, lambda_5, lambda_7, lambda_3,
 lambda_8).
 
+The dense (N^2 - 1, N, N) tensor is 16.7 MB at N=32 and is built anew
+by each :func:`build_generators` call. The forward Bloch map and the
+measurement simplex do not need it: they use the closed-form traces of
+:mod:`blochsim.bloch`. It serves only :func:`blochsim.bloch.from_bloch`,
+:func:`blochsim.bloch.is_valid_state`, :func:`verify_generator_set`, and
+callers that pass a generator set explicitly to ``to_bloch`` or
+``basis_to_simplex``.
+
 A :class:`GeneratorSet` is immutable after construction and safe to share
 across threads.
 """

@@ -54,7 +54,6 @@ import numpy as np
 
 from .bloch import DensityMatrix
 from .errors import ContractError, DimensionError, GeometryError, OracleInconsistencyError
-from .generators import build_generators
 from .simplex import (
     Barycentric,
     MeasurementBasis,
@@ -404,7 +403,7 @@ def geometric_hit_count_oracle(
         raise GeometryError("oracle requires r_par strictly inside the simplex")
     n = rpar.dim
     if simplex is None:
-        simplex = basis_to_simplex(MeasurementBasis.canonical(n), build_generators(n))
+        simplex = basis_to_simplex(MeasurementBasis.canonical(n))
     if simplex.dim != n:
         raise DimensionError(f"simplex has dim {simplex.dim} but rpar has dim {n}")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochVector, DensityMatrix, Ket, ket_to_density, to_bloch
+from .bloch import BlochVector, DensityMatrix, Ket, _bloch_rows, ket_to_density, to_bloch
 from .errors import BasisError, ContractError, DimensionError, GeometryError
 from .generators import GeneratorSet
 from .tolerances import ALGEBRA_TOL, BOUNDARY_TOL, HULL_TOL
@@ -162,19 +162,23 @@ def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
     return q
 
 
-def basis_to_simplex(b: MeasurementBasis, g: GeneratorSet) -> MeasurementSimplex:
+def basis_to_simplex(b: MeasurementBasis, g: GeneratorSet | None = None) -> MeasurementSimplex:
     """Build the measurement simplex of an orthonormal basis.
 
-    Vertices are n_i = to_bloch(|a_i><a_i|). They satisfy ||n_i|| = 1 and
-    n_i . n_j = -1/(N-1) for i != j, so all edges have length
-    sqrt(2N/(N-1)).
+    Vertices are n_i = to_bloch(|a_i><a_i|), all N mapped in one call (or
+    one by one through ``g``'s matrices when a generator set is passed).
+    They satisfy ||n_i|| = 1 and n_i . n_j = -1/(N-1) for i != j, so all
+    edges have length sqrt(2N/(N-1)).
     """
-    if g.dim != b.dim:
-        raise DimensionError(f"generator set has dim {g.dim} but basis has dim {b.dim}")
     n = b.dim
-    vertices = np.empty((n, n * n - 1), dtype=np.float64)
-    for i in range(n):
-        vertices[i] = to_bloch(b.projector(i), g).coords
+    if g is None:
+        kets = b.kets
+        # the projectors |a_i><a_i|, entry for entry as ket_to_density builds them
+        vertices = _bloch_rows(kets[:, :, None] * kets.conj()[:, None, :])
+    elif g.dim != n:
+        raise DimensionError(f"generator set has dim {g.dim} but basis has dim {n}")
+    else:
+        vertices = np.array([to_bloch(b.projector(i), g).coords for i in range(n)])
     centroid = vertices.mean(axis=0)
     frame = _gram_schmidt(vertices[:-1] - vertices[-1])
     total = simplex_measure(vertices)

@@ -330,3 +330,10 @@ class TestMain:
         out = capsys.readouterr().out
         assert json.loads(out)["counts"] == [500473, 299795, 199732]
         assert out == report
+
+        (library,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        namespace: dict = {}
+        exec(library, namespace)
+        assert namespace["r"].norm == pytest.approx(1.0, abs=1e-12)
+        born = namespace["mu"] / namespace["s"].total_measure
+        np.testing.assert_allclose(born, [0.5, 0.3, 0.2], rtol=0, atol=1e-12)

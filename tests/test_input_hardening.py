@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from blochsim import (
     Barycentric,
     BasisError,
+    BlochVector,
     ContractError,
     DensityMatrix,
     Ket,
@@ -68,6 +69,15 @@ def test_barycentric_rejects_non_finite(n, data, bad):
     w[data.draw(st.integers(0, n - 1))] = bad
     with pytest.raises(ContractError):
         Barycentric(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), data=st.data(), bad=NON_FINITE)
+def test_bloch_vector_rejects_non_finite(n, data, bad):
+    coords = np.zeros(n * n - 1)
+    coords[data.draw(st.integers(0, n * n - 2))] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        BlochVector(n, coords)
 
 
 def test_nan_ket_never_reaches_the_sampler():
@@ -160,6 +170,12 @@ class TestConfigExitCodes:
             cfg["basis"] = [[[entry, 0], [0, 0]], [[0, 0], [1, 0]]]
         assert _main_on(tmp_path, json.dumps(cfg)) == 2
         assert f"{field}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["1|2,\u00b3", "1|2,\u0663"], ids=["superscript", "arabic-indic"])
+    def test_partition_flag_accepts_ascii_digits_only(self, tmp_path, capsys, flag):
+        text = '{"dim": 3, "state": {"ket": [[1, 0], [0, 0], [0, 0]]}}'
+        assert _main_on(tmp_path, text, "--partition", flag) == 2
+        assert "partition: expected positive integers" in capsys.readouterr().err
 
     def test_csv_flag_conflicts_with_config_sections(self, tmp_path, capsys):
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "trace": true}'
