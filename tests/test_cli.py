@@ -321,6 +321,20 @@ class TestMain:
         doc = json.loads(proc.stdout)
         assert doc["counts"] == [50, 0]
 
+    def test_trace_of_accepted_state_with_imaginary_diagonal(self, tmp_path, capsys):
+        # construction accepts |Im D_mm| = 5e-13; the trace's Bloch map must too
+        zero = [0, 0]
+        density = [
+            [[0.4, 5e-13], zero, zero],
+            [zero, [0.3, 5e-13], zero],
+            [zero, zero, [0.3, -5e-13]],
+        ]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dim": 3, "state": {"density": density}, "n_trials": 1000}))
+        assert main(["--config", str(path), "--trace"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [s["label"] for s in doc["trace"]["stages"]] == ["initial", "reduced", "collapsed"]
+
     def test_readme_example_runs(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         config, report = re.findall(r"```json\n(.*?)```", readme, re.S)[:2]

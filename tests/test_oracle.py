@@ -1,0 +1,248 @@
+"""The frame-coordinate oracle gives the per-region pinv oracle's results.
+
+``geometric_hit_count_oracle`` solves each region's convex coefficients
+in the simplex's own frame, from stacked square inverses, a block of
+samples at a time. The reference below is the per-region pseudo-inverse
+solve over the embedded vertices that it replaced, kept verbatim: on
+the same lambda stream both must report identical counts, ties and
+disagreements. Unlike the reference, the oracle reads the simplex's
+frame, so a frame that does not span the affine hull must be an error.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blochsim import (
+    Barycentric,
+    MeasurementBasis,
+    MeasurementSimplex,
+    OracleInconsistencyError,
+    RngSeed,
+    basis_to_simplex,
+    geometric_hit_count_oracle,
+)
+from blochsim import sampler
+from blochsim.errors import ContractError, DimensionError, GeometryError
+from blochsim.sampler import (
+    OracleReport,
+    _CHUNK_ELEMS,
+    _argmin_and_gap,
+    _as_integer,
+    _lambda_rows,
+    _ratios,
+)
+from blochsim.tolerances import BOUNDARY_TOL, HULL_TOL, MEMBER_TOL, TIE_BAND
+from util import random_basis
+
+
+def reference_oracle(
+    rpar: Barycentric,
+    n_samples: int,
+    rng: np.random.Generator,
+    simplex: MeasurementSimplex | None = None,
+) -> OracleReport:
+    n_samples = _as_integer(n_samples, "n_samples")
+    if n_samples < 1:
+        raise ContractError(f"n_samples must be >= 1, got {n_samples}")
+    pw = rpar.weights
+    if not float(pw.min()) > BOUNDARY_TOL:
+        raise GeometryError("oracle requires r_par strictly inside the simplex")
+    n = rpar.dim
+    if simplex is None:
+        simplex = basis_to_simplex(MeasurementBasis.canonical(n))
+    if simplex.dim != n:
+        raise DimensionError(f"simplex has dim {simplex.dim} but rpar has dim {n}")
+
+    verts = simplex.vertices
+    x_par = pw @ verts
+    mats = []
+    pinvs = []
+    for i in range(n):
+        cols = [verts[j] for j in range(n) if j != i] + [x_par]
+        m_aug = np.vstack([np.column_stack(cols), np.ones((1, n))])
+        mats.append(m_aug)
+        pinvs.append(np.linalg.pinv(m_aug))
+
+    counts = np.zeros(n, dtype=np.int64)
+    ties = 0
+    disagreements = 0
+    for lam in _lambda_rows(n, n_samples, rng):
+        m = lam.shape[0]
+        x_aug = np.hstack([lam @ verts, np.ones((m, 1))])
+
+        accept = np.empty((m, n), dtype=bool)
+        min_coeff = np.empty((m, n))
+        for i in range(n):
+            coeffs = x_aug @ pinvs[i].T
+            resid = np.max(np.abs(coeffs @ mats[i].T - x_aug), axis=1)
+            min_coeff[:, i] = coeffs.min(axis=1)
+            accept[:, i] = (min_coeff[:, i] >= -MEMBER_TOL) & (resid <= HULL_TOL)
+
+        n_accept = accept.sum(axis=1)
+        if np.any(n_accept == 0):
+            raise OracleInconsistencyError(
+                "a sample point was claimed by no region; geometry is inconsistent"
+            )
+        strict = accept & (min_coeff > TIE_BAND)
+        if np.any(strict.sum(axis=1) > 1):
+            raise OracleInconsistencyError(
+                "a sample point was claimed strictly by several regions; geometry is inconsistent"
+            )
+        member = np.argmax(accept, axis=1)
+
+        _, ratios = _ratios(lam, pw)
+        argmin = np.argmin(ratios, axis=1)
+        two_smallest = np.partition(ratios, 1, axis=1)
+        tie_rows = (n_accept > 1) | (two_smallest[:, 1] - two_smallest[:, 0] <= TIE_BAND)
+
+        counts += np.bincount(member, minlength=n)
+        ties += int(tie_rows.sum())
+        disagreements += int(np.sum(~tie_rows & (member != argmin)))
+
+    return OracleReport(n_samples, counts, ties, disagreements)
+
+
+def interior_weights(rng: np.random.Generator, n: int, p_min: float) -> Barycentric:
+    """Born weights with a random subset of outcomes near ``p_min``, all > 0."""
+    w = rng.exponential(size=n)
+    small = rng.permutation(n)[: int(rng.integers(0, n))]
+    w[small] = p_min * (1.0 + rng.random(small.size))
+    return Barycentric(w / w.sum())
+
+
+def block(n: int) -> int:
+    return _CHUNK_ELEMS // (n * n)
+
+
+#: Sample counts around the oracle's block and across two lambda chunks.
+COUNTS = {
+    "one": lambda n: 1,
+    "block-1": lambda n: block(n) - 1,
+    "block": block,
+    "block+1": lambda n: block(n) + 1,
+    "two-chunks": lambda n: _CHUNK_ELEMS // n + 7,
+}
+
+
+def assert_same_report(n, count, seed, simplex, p):
+    got = geometric_hit_count_oracle(p, count, RngSeed(seed).generator(), simplex)
+    want = reference_oracle(p, count, RngSeed(seed).generator(), simplex)
+    assert got.n_samples == want.n_samples == count
+    np.testing.assert_array_equal(got.counts, want.counts)
+    assert (got.ties, got.disagreements) == (want.ties, want.disagreements)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 12),
+    count=st.sampled_from(sorted(COUNTS)),
+    p_min_exp=st.floats(1.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matches_the_pinv_oracle(n, count, p_min_exp, seed):
+    rng = np.random.default_rng(seed)
+    simplex = basis_to_simplex(random_basis(rng, n))
+    p = interior_weights(rng, n, 10.0**-p_min_exp)
+    assert_same_report(n, COUNTS[count](n), seed, simplex, p)
+
+
+@pytest.mark.parametrize("count", ["one", "block-1", "block", "block+1", "two-chunks"])
+def test_matches_the_pinv_oracle_at_n32(count):
+    rng = np.random.default_rng(32)
+    simplex = basis_to_simplex(random_basis(rng, 32))
+    p = interior_weights(rng, 32, 1e-6)
+    assert_same_report(32, COUNTS[count](32), 5, simplex, p)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_column_sweep_matches_argmin_and_partition(n, seed):
+    # ties are measure zero in the oracle's stream, so plant them here
+    rng = np.random.default_rng(seed)
+    ratios = rng.integers(0, 4, size=(500, n)) + rng.choice([0.0, 1e-11, 0.5], size=(500, n))
+    argmin, gap = _argmin_and_gap(ratios)
+    two_smallest = np.partition(ratios, 1, axis=1)
+    np.testing.assert_array_equal(argmin, np.argmin(ratios, axis=1))
+    np.testing.assert_array_equal(gap, two_smallest[:, 1] - two_smallest[:, 0])
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_boundary_points_match_the_pinv_oracle(n, monkeypatch):
+    # uniform samples never land on a region boundary, so plant points there:
+    # (1 - t) r_par + t mu with mu_i = mu_j = 0 ties regions i and j, r_par ties all
+    rng = np.random.default_rng(n)
+    p = interior_weights(rng, n, 0.05)
+    planted = [p.weights]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for t in rng.random(3):
+                mu = rng.exponential(size=n)
+                mu[[i, j]] = 0.0
+                planted.append((1 - t) * p.weights + t * mu / mu.sum())
+    planted = np.array(planted)
+
+    def planted_rows(dim, count, rng):
+        yield planted[:count]
+
+    monkeypatch.setattr(sampler, "_lambda_rows", planted_rows)
+    monkeypatch.setitem(globals(), "_lambda_rows", planted_rows)
+    simplex = basis_to_simplex(random_basis(rng, n))
+    assert_same_report(n, len(planted), 0, simplex, p)
+    assert geometric_hit_count_oracle(p, len(planted), None, simplex).ties == len(planted)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_frame_off_the_hull_is_inconsistent(n):
+    rng = np.random.default_rng(n)
+    s = basis_to_simplex(random_basis(rng, n))
+    p = interior_weights(rng, n, 0.1)
+    k = s.vertices.shape[1]
+    rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    rotated = MeasurementSimplex(n, s.vertices, s.centroid, s.frame @ rotation, s.total_measure)
+    with pytest.raises(OracleInconsistencyError):
+        geometric_hit_count_oracle(p, 1000, RngSeed(n).generator(), rotated)
+    # a rotation inside the hull spans the same directions: same counts
+    turn = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+    turned = MeasurementSimplex(n, s.vertices, s.centroid, turn @ s.frame, s.total_measure)
+    np.testing.assert_array_equal(
+        geometric_hit_count_oracle(p, 1000, RngSeed(n).generator(), turned).counts,
+        geometric_hit_count_oracle(p, 1000, RngSeed(n).generator(), s).counts,
+    )
+
+
+def test_frame_across_the_hull_is_inconsistent():
+    # at N = 2 a frame orthogonal to the one edge maps both vertices to 0
+    s = basis_to_simplex(MeasurementBasis.canonical(2))
+    across = np.linalg.svd(s.frame)[2][1:2]
+    flat = MeasurementSimplex(2, s.vertices, s.centroid, across, s.total_measure)
+    with pytest.raises(OracleInconsistencyError, match="singular"):
+        geometric_hit_count_oracle(Barycentric([0.3, 0.7]), 10, RngSeed(2).generator(), flat)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 16), p_min_exp=st.floats(1.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_classify_agrees_with_the_oracle_inside(n, p_min_exp, seed):
+    rng = np.random.default_rng(seed)
+    p = interior_weights(rng, n, 10.0**-p_min_exp)
+    report = geometric_hit_count_oracle(
+        p, 2000, RngSeed(seed).generator(), basis_to_simplex(random_basis(rng, n))
+    )
+    assert report.disagreements == 0
+    assert report.agreements == report.n_samples
+
+
+@pytest.mark.parametrize("n, count", [(8, 30_000), (32, 2_000)])
+def test_peak_memory_stays_within_the_block_bound(n, count):
+    p = interior_weights(np.random.default_rng(n), n, 0.01)
+    simplex = basis_to_simplex(MeasurementBasis.canonical(n))
+    tracemalloc.start()
+    try:
+        geometric_hit_count_oracle(p, count, RngSeed(n).generator(), simplex)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
