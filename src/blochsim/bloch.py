@@ -29,8 +29,17 @@ families stay within 1e-12.
 This summation order is a pinned contract: it reproduces the
 dense contraction with the generator tensor bit for bit, so reports keep
 their bytes. A regrouped sum (``2 Re D_jk``, or ``s_k`` times a cumulative
-sum of the D_mm) changes the last digit of some coordinates. Passing an
-explicit :class:`GeneratorSet` still contracts with that set's matrices.
+sum of the D_mm) changes the last digit of some coordinates.
+
+The inverse map writes D(r) entry by entry in the same ordering:
+
+* off-diagonal (j < k):  D_jk = c_N (r_s - i r_a) / N,  D_kj = conj(D_jk)
+* diagonal:              D_mm = (1 + c_N (sum_{k>m} s_k r_k - m s_m r_m)) / N
+
+with r_s, r_a the symmetric and antisymmetric coordinates of the pair
+(j, k) and r_k the k-th diagonal coordinate. Neither direction builds the
+generator matrices; :mod:`blochsim.generators` defines the convention and
+serves as the reference the closed forms are tested against.
 
 All values here are immutable and all operations are pure functions.
 """
@@ -45,7 +54,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, DimensionError, NormalizationError
-from .generators import GeneratorSet
 from .tolerances import ALGEBRA_TOL, EIGEN_TOL
 
 #: Bound on |Im Tr(D L_j)| for a matrix that construction accepted (module docstring).
@@ -170,11 +178,6 @@ def ket_to_density(psi: Ket) -> DensityMatrix:
     return DensityMatrix(np.outer(a, a.conj()))
 
 
-def _check_dims(g: GeneratorSet, dim: int, what: str) -> None:
-    if g.dim != dim:
-        raise DimensionError(f"generator set has dim {g.dim} but {what} has dim {dim}")
-
-
 @functools.lru_cache(maxsize=32)
 def _plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only gather indices and diagonal-family scales for dimension n.
@@ -229,45 +232,47 @@ def _bloch_rows(d: np.ndarray) -> np.ndarray:
     return _traces_to_coords(_closed_form_traces(d), d.shape[-1])
 
 
-def to_bloch(d: DensityMatrix, g: GeneratorSet | None = None) -> BlochVector:
+def to_bloch(d: DensityMatrix) -> BlochVector:
     """Map a density matrix to its Bloch vector.
 
     r_j = (N / (2 c_N)) Tr(D L_j), from the closed form in the module
-    docstring, or by contracting with ``g``'s matrices when a generator
-    set is passed. The traces must be real to sqrt(2) * 1e-12 (the
-    module docstring says why); the imaginary rounding residual is
-    checked, then discarded.
+    docstring. The traces must be real to sqrt(2) * 1e-12 (the module
+    docstring says why); the imaginary rounding residual is checked, then
+    discarded.
     """
-    if g is None:
-        traces = _closed_form_traces(d.entries)
-    else:
-        _check_dims(g, d.dim, "state")
-        traces = np.einsum("ij,kji->k", d.entries, g.matrices)
-    return BlochVector(dim=d.dim, coords=_traces_to_coords(traces, d.dim))
+    return BlochVector(dim=d.dim, coords=_bloch_rows(d.entries))
 
 
-def from_bloch(r: BlochVector, g: GeneratorSet) -> DensityMatrix:
+def from_bloch(r: BlochVector) -> DensityMatrix:
     """Reconstruct D(r) = (1/N)(I + c_N r . L) from a Bloch vector.
 
+    Entries come from the inverse closed form in the module docstring.
     Always yields a Hermitian unit-trace matrix; whether it is an actual
     state (positive semidefinite) is a separate question answered by
     :func:`is_valid_state`.
     """
-    _check_dims(g, r.dim, "Bloch vector")
     n = r.dim
-    m = np.tensordot(r.coords, g.matrices, axes=1)
-    return DensityMatrix((np.eye(n) + radius_scale(n) * m) / n)
+    gather, scales, last = _plan(n)
+    m = n * (n - 1) // 2
+    c = radius_scale(n)
+    sym, anti, diag = r.coords[:m], r.coords[m : 2 * m], r.coords[2 * m :]
+    upper = c * (sym - 1j * anti)
+    # sum_{k>m} s_k r_k for m = 0..N-1, then -m s_m r_m for m = 1..N-1
+    weighted = np.append(np.cumsum((scales[:, 0].real * diag)[::-1])[::-1], 0.0)
+    weighted[1:] += last.real * diag
+    d = np.empty(n * n, dtype=np.complex128)
+    d[gather] = np.concatenate([upper, upper.conj(), 1.0 + c * weighted])
+    return DensityMatrix(d.reshape(n, n) / n)
 
 
-def is_valid_state(r: BlochVector, g: GeneratorSet) -> StateValidity:
+def is_valid_state(r: BlochVector) -> StateValidity:
     """Whether r lies in the state region (D(r) positive semidefinite).
 
     Returns the minimum eigenvalue alongside the verdict for diagnostics;
     the threshold is -1e-10 to absorb eigensolver rounding on boundary
     states.
     """
-    d = from_bloch(r, g)
-    w = d.min_eigenvalue()
+    w = from_bloch(r).min_eigenvalue()
     return StateValidity(valid=w >= -EIGEN_TOL, min_eigenvalue=w)
 
 

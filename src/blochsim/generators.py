@@ -19,12 +19,11 @@ permutation of the textbook Gell-Mann numbering: our order corresponds to
 lambda_8).
 
 The dense (N^2 - 1, N, N) tensor is 16.7 MB at N=32 and is built anew
-by each :func:`build_generators` call. The forward Bloch map and the
-measurement simplex do not need it: they use the closed-form traces of
-:mod:`blochsim.bloch`. It serves only :func:`blochsim.bloch.from_bloch`,
-:func:`blochsim.bloch.is_valid_state`, :func:`verify_generator_set`, and
-callers that pass a generator set explicitly to ``to_bloch`` or
-``basis_to_simplex``.
+by each :func:`build_generators` call. No other module of the library
+uses it: the Bloch maps in both directions and the measurement simplex
+use the closed forms of :mod:`blochsim.bloch`, in this module's ordering.
+The set defines that convention, and :func:`verify_generator_set` checks
+it; the tests compare the closed forms against a contraction with it.
 
 A :class:`GeneratorSet` is immutable after construction and safe to share
 across threads.

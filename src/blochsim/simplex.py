@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochVector, DensityMatrix, Ket, _bloch_rows, ket_to_density, to_bloch
+from .bloch import BlochVector, DensityMatrix, Ket, _bloch_rows, ket_to_density
 from .errors import BasisError, ContractError, DimensionError, GeometryError
-from .generators import GeneratorSet
 from .tolerances import ALGEBRA_TOL, BOUNDARY_TOL, HULL_TOL
 
 
@@ -114,8 +113,10 @@ class MeasurementSimplex:
         mixed state).
     frame : np.ndarray
         Shape (N - 1, N^2 - 1); orthonormal rows spanning the direction
-        space of the affine hull, built by Gram-Schmidt on the edges
-        (n_i - n_N) in order.
+        space of the affine hull: the Q factor of one QR factorization of
+        the edges (n_i - n_N), with each row's sign set so that R has a
+        positive diagonal. That is Gram-Schmidt on the edges in order, up
+        to rounding.
     total_measure : float
         Lebesgue measure of the simplex in the embedding's Euclidean
         metric.
@@ -149,36 +150,26 @@ def simplex_measure(vertices: np.ndarray) -> float:
 
 
 def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
-    """Orthonormalize rows in order; two passes for numerical insurance."""
-    q = rows.astype(np.float64).copy()
-    for i in range(q.shape[0]):
-        for _ in range(2):
-            for j in range(i):
-                q[i] -= (q[j] @ q[i]) * q[j]
-        norm = np.linalg.norm(q[i])
-        if norm < 1e-14:
-            raise GeometryError("degenerate edge set: simplex vertices are affinely dependent")
-        q[i] /= norm
-    return q
+    """Orthonormalize rows in order, as one QR factorization with R_ii > 0."""
+    q, r = np.linalg.qr(rows.T)
+    diag = np.diagonal(r)
+    if not np.all(np.abs(diag) >= 1e-14):
+        raise GeometryError("degenerate edge set: simplex vertices are affinely dependent")
+    q *= np.sign(diag)
+    return q.T
 
 
-def basis_to_simplex(b: MeasurementBasis, g: GeneratorSet | None = None) -> MeasurementSimplex:
+def basis_to_simplex(b: MeasurementBasis) -> MeasurementSimplex:
     """Build the measurement simplex of an orthonormal basis.
 
-    Vertices are n_i = to_bloch(|a_i><a_i|), all N mapped in one call (or
-    one by one through ``g``'s matrices when a generator set is passed).
+    Vertices are n_i = to_bloch(|a_i><a_i|), all N mapped in one call.
     They satisfy ||n_i|| = 1 and n_i . n_j = -1/(N-1) for i != j, so all
     edges have length sqrt(2N/(N-1)).
     """
     n = b.dim
-    if g is None:
-        kets = b.kets
-        # the projectors |a_i><a_i|, entry for entry as ket_to_density builds them
-        vertices = _bloch_rows(kets[:, :, None] * kets.conj()[:, None, :])
-    elif g.dim != n:
-        raise DimensionError(f"generator set has dim {g.dim} but basis has dim {n}")
-    else:
-        vertices = np.array([to_bloch(b.projector(i), g).coords for i in range(n)])
+    kets = b.kets
+    # the projectors |a_i><a_i|, entry for entry as ket_to_density builds them
+    vertices = _bloch_rows(kets[:, :, None] * kets.conj()[:, None, :])
     centroid = vertices.mean(axis=0)
     frame = _gram_schmidt(vertices[:-1] - vertices[-1])
     total = simplex_measure(vertices)
@@ -249,13 +240,19 @@ def born_probabilities(d: DensityMatrix, b: MeasurementBasis) -> Barycentric:
 
     Equal (to 1e-10) to the barycentric coordinates of the projection of
     the state's Bloch vector onto the measurement simplex.
+
+    The imaginary parts must vanish to N * 1e-12. Construction leaves the
+    anti-Hermitian part of D with entries up to 5e-13, and <a|D|a> sums
+    it over all N^2 entries, so its imaginary part reaches
+    5e-13 (sum_j |a_j|)^2 <= N * 5e-13 for a unit ket a.
     """
     if d.dim != b.dim:
         raise DimensionError(f"state has dim {d.dim} but basis has dim {b.dim}")
     p = np.einsum("ij,jk,ik->i", b.kets.conj(), d.entries, b.kets)
     imag = float(np.max(np.abs(p.imag)))
-    if not imag <= ALGEBRA_TOL:
-        raise ContractError(f"<a_i|D|a_i> has imaginary residual {imag:.3e} > {ALGEBRA_TOL}")
+    bound = d.dim * ALGEBRA_TOL
+    if not imag <= bound:
+        raise ContractError(f"<a_i|D|a_i> has imaginary residual {imag:.3e} > {bound:.3e}")
     return Barycentric(p.real)
 
 

@@ -42,13 +42,12 @@ def test_criterion_1_born_identity_as_measure_ratio():
     worst = 0.0
     for n in (2, 3, 4, 5):
         rng = np.random.default_rng(1000 + n)
-        g = build_generators(n)
         b = MeasurementBasis.canonical(n)
-        s = basis_to_simplex(b, g)
+        s = basis_to_simplex(b)
         for _ in range(1000):
             d = ket_to_density(random_ket(rng, n))
             p = born_probabilities(d, b).weights
-            rpar = project_onto_simplex(to_bloch(d, g), s)
+            rpar = project_onto_simplex(to_bloch(d), s)
             ratios = subregion_measures(rpar, s) / s.total_measure
             worst = max(worst, float(np.max(np.abs(ratios - p))))
     _report(
@@ -63,11 +62,11 @@ def test_criterion_2_simplex_geometry():
     started = time.perf_counter()
     worst_dot = 0.0
     for n in range(2, 7):
-        s = basis_to_simplex(MeasurementBasis.canonical(n), build_generators(n))
+        s = basis_to_simplex(MeasurementBasis.canonical(n))
         dots = s.vertices @ s.vertices.T
         expected = -1 / (n - 1) + (1 + 1 / (n - 1)) * np.eye(n)
         worst_dot = max(worst_dot, float(np.max(np.abs(dots - expected))))
-    s3 = basis_to_simplex(MeasurementBasis.canonical(3), build_generators(3))
+    s3 = basis_to_simplex(MeasurementBasis.canonical(3))
     area_resid = abs(s3.total_measure - 3 * np.sqrt(3) / 4)
     ok = worst_dot <= 1e-10 and area_resid <= 1e-10
     _report(
@@ -107,7 +106,7 @@ def test_criterion_4_classification_equivalence():
     ties = 0
     for n, point_seed in ((3, 4000), (4, 4001)):
         rng_points = np.random.default_rng(point_seed)
-        simplex = basis_to_simplex(MeasurementBasis.canonical(n), build_generators(n))
+        simplex = basis_to_simplex(MeasurementBasis.canonical(n))
         for k in range(20):
             rpar = random_interior_barycentric(rng_points, n)
             report = geometric_hit_count_oracle(
@@ -128,13 +127,12 @@ def test_criterion_5_reduction_consistency():
     worst = 0.0
     for n in (2, 3, 4, 5):
         rng = np.random.default_rng(5000 + n)
-        g = build_generators(n)
         b = MeasurementBasis.canonical(n)
-        s = basis_to_simplex(b, g)
+        s = basis_to_simplex(b)
         for i in range(1000):
             d = ket_to_density(random_ket(rng, n)) if i % 2 else random_density(rng, n)
-            reduced = to_bloch(reduce_state(d, b), g)
-            projected = project_onto_simplex(to_bloch(d, g), s)
+            reduced = to_bloch(reduce_state(d, b))
+            projected = project_onto_simplex(to_bloch(d), s)
             worst = max(worst, float(np.linalg.norm(reduced.coords - projected.coords)))
     _report(
         "criterion 5 (reduction = orthogonal projection, 1000 states per N in 2..5)",
@@ -158,7 +156,6 @@ def test_criterion_6_degenerate_lueders_suite():
 
     rng_states = np.random.default_rng(62)
     rng_draws = RngSeed(62).generator()
-    g4 = build_generators(4)
     b4 = MeasurementBasis.canonical(4)
     worst_purity = 0.0
     worst_norm = 0.0
@@ -166,7 +163,7 @@ def test_criterion_6_degenerate_lueders_suite():
         pure = ket_to_density(random_ket(rng_states, 4))
         _, post = measure_degenerate(pure, b4, [[0, 3], [1], [2]], rng_draws)
         worst_purity = max(worst_purity, abs(purity(post) - 1.0))
-        worst_norm = max(worst_norm, abs(to_bloch(post, g4).norm - 1.0))
+        worst_norm = max(worst_norm, abs(to_bloch(post).norm - 1.0))
 
     singleton_exact = True
     for seed in (63, 64, 65):
@@ -212,11 +209,10 @@ def test_criterion_8_bloch_map_invariants():
     worst_linear = 0.0
     for n in range(2, 7):
         rng = np.random.default_rng(8000 + n)
-        g = build_generators(n)
         for i in range(1000):
             d = ket_to_density(random_ket(rng, n)) if i % 2 else random_density(rng, n)
-            r = to_bloch(d, g)
-            back = to_bloch(from_bloch(r, g), g)
+            r = to_bloch(d)
+            back = to_bloch(from_bloch(r))
             worst_rt = max(worst_rt, float(np.linalg.norm(back.coords - r.coords)))
             if i % 10 == 0:
                 unit = abs(r.norm - 1.0) <= 1e-10
@@ -224,8 +220,8 @@ def test_criterion_8_bloch_map_invariants():
                 correspondence = correspondence and (unit == pure)
         for alpha in (0.0, 0.3, 0.7, 1.0):
             d1, d2 = random_density(rng, n), random_density(rng, n)
-            mix = to_bloch(DensityMatrix(alpha * d1.entries + (1 - alpha) * d2.entries), g)
-            expected = alpha * to_bloch(d1, g).coords + (1 - alpha) * to_bloch(d2, g).coords
+            mix = to_bloch(DensityMatrix(alpha * d1.entries + (1 - alpha) * d2.entries))
+            expected = alpha * to_bloch(d1).coords + (1 - alpha) * to_bloch(d2).coords
             worst_linear = max(worst_linear, float(np.max(np.abs(mix.coords - expected))))
     ok = worst_rt <= 1e-11 and correspondence and worst_linear <= 1e-12
     _report(

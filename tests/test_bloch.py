@@ -6,27 +6,16 @@ from blochsim import (
     ContractError,
     DensityMatrix,
     DimensionError,
-    GeneratorSet,
     Ket,
     NormalizationError,
-    build_generators,
     from_bloch,
     is_valid_state,
     ket_to_density,
     purity,
     to_bloch,
 )
+from blochsim.bloch import _TRACE_IMAG_TOL, _traces_to_coords
 from util import random_density, random_ket
-
-
-@pytest.fixture(scope="module")
-def g2():
-    return build_generators(2)
-
-
-@pytest.fixture(scope="module")
-def g3():
-    return build_generators(3)
 
 
 class TestKet:
@@ -78,40 +67,36 @@ class TestKetToDensity:
 
 
 class TestToBloch:
-    def test_basis_state_maps_to_pole(self, g2):
-        r = to_bloch(DensityMatrix(np.diag([1.0, 0.0])), g2)
+    def test_basis_state_maps_to_pole(self):
+        r = to_bloch(DensityMatrix(np.diag([1.0, 0.0])))
         np.testing.assert_allclose(r.coords, [0.0, 0.0, 1.0], atol=1e-15)
 
-    def test_maximally_mixed_maps_to_center(self, g2):
-        r = to_bloch(DensityMatrix(np.eye(2) / 2), g2)
+    def test_maximally_mixed_maps_to_center(self):
+        r = to_bloch(DensityMatrix(np.eye(2) / 2))
         np.testing.assert_allclose(r.coords, np.zeros(3), atol=1e-15)
 
-    def test_three_level_basis_state_hits_diagonal_directions(self, g3):
-        r = to_bloch(DensityMatrix(np.diag([1.0, 0.0, 0.0])), g3)
+    def test_three_level_basis_state_hits_diagonal_directions(self):
+        r = to_bloch(DensityMatrix(np.diag([1.0, 0.0, 0.0])))
         # only the two diagonal generators contribute: (sqrt(3)/2, 1/2)
         np.testing.assert_allclose(r.coords[:6], np.zeros(6), atol=1e-15)
         assert r.coords[6] == pytest.approx(np.sqrt(3) / 2, abs=1e-14)
         assert r.coords[7] == pytest.approx(0.5, abs=1e-14)
         assert r.norm == pytest.approx(1.0, abs=1e-12)
 
-    def test_dimension_mismatch(self, g3):
-        with pytest.raises(DimensionError):
-            to_bloch(DensityMatrix(np.eye(2) / 2), g3)
-
 
 class TestFromBloch:
-    def test_pole_reconstructs_basis_state(self, g2):
-        d = from_bloch(BlochVector(2, [0.0, 0.0, 1.0]), g2)
+    def test_pole_reconstructs_basis_state(self):
+        d = from_bloch(BlochVector(2, [0.0, 0.0, 1.0]))
         np.testing.assert_allclose(d.entries, np.diag([1.0, 0.0]), atol=1e-15)
 
-    def test_zero_vector_gives_maximally_mixed(self, g2):
-        d = from_bloch(BlochVector(2, np.zeros(3)), g2)
+    def test_zero_vector_gives_maximally_mixed(self):
+        d = from_bloch(BlochVector(2, np.zeros(3)))
         np.testing.assert_allclose(d.entries, np.eye(2) / 2, atol=1e-15)
 
-    def test_negative_diagonal_direction_is_not_a_state(self, g3):
+    def test_negative_diagonal_direction_is_not_a_state(self):
         coords = np.zeros(8)
         coords[6] = -1.0
-        d = from_bloch(BlochVector(3, coords), g3)
+        d = from_bloch(BlochVector(3, coords))
         # eigenvalues of (1/3) diag(1 - sqrt(3), 1 + sqrt(3), 1)
         expected_min = (1.0 - np.sqrt(3)) / 3.0
         assert d.min_eigenvalue() == pytest.approx(expected_min, abs=1e-12)
@@ -120,21 +105,21 @@ class TestFromBloch:
 
 class TestIsValidState:
     @pytest.mark.parametrize("radius", [0.0, 0.3, 0.999999, 1.0])
-    def test_qubit_ball_is_filled(self, g2, radius):
+    def test_qubit_ball_is_filled(self, radius):
         rng = np.random.default_rng(7)
         for _ in range(20):
             v = rng.standard_normal(3)
             v = radius * v / np.linalg.norm(v)
-            assert is_valid_state(BlochVector(2, v), g2).valid
+            assert is_valid_state(BlochVector(2, v)).valid
 
-    def test_outside_unit_ball_is_invalid(self, g2):
+    def test_outside_unit_ball_is_invalid(self):
         v = np.array([1.5, 0.0, 0.0])
-        verdict = is_valid_state(BlochVector(2, v), g2)
+        verdict = is_valid_state(BlochVector(2, v))
         assert not verdict.valid
 
-    def test_vertex_antipode_is_invalid_for_three_levels(self, g3):
-        n1 = to_bloch(DensityMatrix(np.diag([1.0, 0.0, 0.0])), g3)
-        verdict = is_valid_state(BlochVector(3, -n1.coords), g3)
+    def test_vertex_antipode_is_invalid_for_three_levels(self):
+        n1 = to_bloch(DensityMatrix(np.diag([1.0, 0.0, 0.0])))
+        verdict = is_valid_state(BlochVector(3, -n1.coords))
         assert not verdict.valid
         assert verdict.min_eigenvalue == pytest.approx(-1 / 3, abs=1e-12)
 
@@ -147,8 +132,8 @@ class TestPurity:
     def test_maximally_mixed_purity(self, n):
         assert purity(DensityMatrix(np.eye(n) / n)) == pytest.approx(1 / n, abs=1e-15)
 
-    def test_half_radius_qubit(self, g2):
-        d = from_bloch(BlochVector(2, [0.5, 0.0, 0.0]), g2)
+    def test_half_radius_qubit(self):
+        d = from_bloch(BlochVector(2, [0.5, 0.0, 0.0]))
         # (1 + ||r||^2) / 2 = 5/8, cross-checked against the direct trace
         direct = np.trace(d.entries @ d.entries).real
         assert direct == pytest.approx(5 / 8, abs=1e-14)
@@ -157,10 +142,9 @@ class TestPurity:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_purity_matches_radius_formula(self, n):
         rng = np.random.default_rng(n)
-        g = build_generators(n)
         for _ in range(50):
             d = random_density(rng, n)
-            r = to_bloch(d, g)
+            r = to_bloch(d)
             assert purity(d) == pytest.approx((1 + (n - 1) * r.norm**2) / n, abs=1e-10)
 
 
@@ -168,42 +152,38 @@ class TestMapProperties:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_round_trip(self, n):
         rng = np.random.default_rng(100 + n)
-        g = build_generators(n)
         worst = 0.0
         for i in range(200):
             d = ket_to_density(random_ket(rng, n)) if i % 2 else random_density(rng, n)
-            r = to_bloch(d, g)
-            back = to_bloch(from_bloch(r, g), g)
+            r = to_bloch(d)
+            back = to_bloch(from_bloch(r))
             worst = max(worst, float(np.linalg.norm(back.coords - r.coords)))
         assert worst <= 1e-11
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_purity_one_iff_unit_norm(self, n):
         rng = np.random.default_rng(200 + n)
-        g = build_generators(n)
         for i in range(100):
             d = ket_to_density(random_ket(rng, n)) if i % 3 == 0 else random_density(rng, n)
-            unit_norm = abs(to_bloch(d, g).norm - 1.0) <= 1e-10
+            unit_norm = abs(to_bloch(d).norm - 1.0) <= 1e-10
             pure = abs(purity(d) - 1.0) <= 1e-10
             assert unit_norm == pure
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_linearity(self, n):
         rng = np.random.default_rng(300 + n)
-        g = build_generators(n)
         for alpha in (0.0, 0.25, 0.5, 0.9, 1.0):
             d1 = random_density(rng, n)
             d2 = random_density(rng, n)
             mix = DensityMatrix(alpha * d1.entries + (1 - alpha) * d2.entries)
-            expected = alpha * to_bloch(d1, g).coords + (1 - alpha) * to_bloch(d2, g).coords
-            np.testing.assert_allclose(to_bloch(mix, g).coords, expected, atol=1e-12)
+            expected = alpha * to_bloch(d1).coords + (1 - alpha) * to_bloch(d2).coords
+            np.testing.assert_allclose(to_bloch(mix).coords, expected, atol=1e-12)
 
     def test_norm_of_valid_states_stays_in_ball(self):
         rng = np.random.default_rng(42)
         for n in (2, 3, 4, 5):
-            g = build_generators(n)
             for _ in range(100):
-                assert to_bloch(random_density(rng, n), g).norm <= 1 + 1e-10
+                assert to_bloch(random_density(rng, n)).norm <= 1 + 1e-10
 
     def test_accepted_state_with_imaginary_diagonal_maps(self):
         # |Im D_mm| = 5e-13 passes construction; the diagonal family weighs it
@@ -211,13 +191,11 @@ class TestMapProperties:
         d = DensityMatrix(np.diag([0.4 + 5e-13j, 0.3 + 5e-13j, 0.3 - 5e-13j]))
         expected = to_bloch(DensityMatrix(np.diag([0.4, 0.3, 0.3]))).coords
         np.testing.assert_array_equal(to_bloch(d).coords, expected)
-        np.testing.assert_array_equal(to_bloch(d, build_generators(3)).coords, expected)
 
     def test_imaginary_residual_guard(self):
-        # a non-Hermitian generator makes Tr(D L) complex beyond rounding
-        mats = build_generators(2).matrices.copy()
-        mats[0] = mats[0] + np.array([[0.0, 1e-3j], [0.0, 0.0]])
-        broken = GeneratorSet(dim=2, matrices=mats)
-        d = ket_to_density(Ket([1, 1] / np.sqrt(2)))
+        # traces complex beyond the bound are rejected; at the bound they map
+        over = np.nextafter(_TRACE_IMAG_TOL, 1.0)
         with pytest.raises(ContractError):
-            to_bloch(d, broken)
+            _traces_to_coords(np.array([0.0, 0.0, 1.0 + over * 1j]), 2)
+        coords = _traces_to_coords(np.array([0.0, 0.0, 1.0 + _TRACE_IMAG_TOL * 1j]), 2)
+        np.testing.assert_array_equal(coords, [0.0, 0.0, 1.0])

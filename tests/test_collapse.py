@@ -9,7 +9,6 @@ from blochsim import (
     RngSeed,
     basis_to_simplex,
     born_probabilities,
-    build_generators,
     ket_to_density,
     project_onto_simplex,
     purity,
@@ -51,13 +50,12 @@ class TestReduceState:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_orthogonal_projection(self, n):
         rng = np.random.default_rng(600 + n)
-        g = build_generators(n)
         for _ in range(50):
             b = random_basis(rng, n)
-            s = basis_to_simplex(b, g)
+            s = basis_to_simplex(b)
             d = random_density(rng, n)
-            reduced = to_bloch(reduce_state(d, b), g)
-            projected = project_onto_simplex(to_bloch(d, g), s)
+            reduced = to_bloch(reduce_state(d, b))
+            projected = project_onto_simplex(to_bloch(d), s)
             assert np.linalg.norm(reduced.coords - projected.coords) <= 1e-10
 
     def test_preserves_trace_and_hermiticity(self):
@@ -81,8 +79,7 @@ class TestRunMeasurement:
             np.testing.assert_allclose(stage.density.entries, d.entries, atol=1e-12)
 
     def test_nondegenerate_trace_shape(self):
-        g = build_generators(3)
-        s = basis_to_simplex(B3, g)
+        s = basis_to_simplex(B3)
         trace = run_measurement(standard_state_3(), B3, seed=RngSeed(7))
         assert trace.labels == ("initial", "reduced", "collapsed")
         assert trace.stage("initial").vector.norm == pytest.approx(1.0, abs=1e-10)
@@ -90,8 +87,7 @@ class TestRunMeasurement:
         np.testing.assert_allclose(collapsed, s.vertices[trace.outcome], atol=1e-10)
 
     def test_reduced_stage_is_the_projection(self):
-        g = build_generators(3)
-        s = basis_to_simplex(B3, g)
+        s = basis_to_simplex(B3)
         rng = np.random.default_rng(11)
         for seed in range(5):
             d = ket_to_density(random_ket(rng, 3))

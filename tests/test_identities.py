@@ -6,8 +6,6 @@
   probabilities.
 """
 
-import functools
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +13,6 @@ from hypothesis import strategies as st
 from blochsim import (
     basis_to_simplex,
     born_probabilities,
-    build_generators,
     from_bloch,
     ket_to_density,
     project_onto_simplex,
@@ -25,7 +22,6 @@ from blochsim import (
 from blochsim.tolerances import ALGEBRA_TOL
 from util import random_basis, random_density, random_ket
 
-generators = functools.cache(build_generators)
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -37,7 +33,7 @@ def _state(rng, n, pure):
 @given(n=st.integers(2, 32), pure=st.booleans(), seed=SEEDS)
 def test_round_trip_reconstructs_the_state(n, pure, seed):
     d = _state(np.random.default_rng(seed), n, pure)
-    back = from_bloch(to_bloch(d), generators(n))
+    back = from_bloch(to_bloch(d))
     assert float(np.max(np.abs(back.entries - d.entries))) <= ALGEBRA_TOL
 
 

@@ -14,7 +14,6 @@ from blochsim import (
     RngSeed,
     basis_to_simplex,
     born_probabilities,
-    build_generators,
     classify,
     geometric_hit_count_oracle,
     ket_to_density,
@@ -73,7 +72,7 @@ class TestSampleLambda:
         # the region b_1 > 1/2 is the corner triangle on vertex n_1 with
         # both incident edges halved; its area ratio, by the independent
         # Cayley-Menger oracle, is 1/4
-        s = basis_to_simplex(B3, build_generators(3))
+        s = basis_to_simplex(B3)
         corner = np.array(
             [s.vertices[0], (s.vertices[0] + s.vertices[1]) / 2, (s.vertices[0] + s.vertices[2]) / 2]
         )
@@ -108,7 +107,7 @@ class TestClassify:
         assert classify(lam, p) == 0
 
         # brute-force: lambda must be a convex combination of {n_2, n_3, rpar}
-        s = basis_to_simplex(B3, build_generators(3))
+        s = basis_to_simplex(B3)
         x = lam.weights @ s.vertices
         cols = np.column_stack([s.vertices[1], s.vertices[2], p.weights @ s.vertices])
         system = np.vstack([cols, np.ones(3)])
@@ -342,7 +341,6 @@ class TestMeasureDegenerate:
 
     def test_lueders_post_state_for_fused_block(self):
         d = standard_state_3()
-        g = build_generators(3)
         rng = RngSeed(5).generator()
         seen = set()
         while seen != {0, 1}:
@@ -355,20 +353,19 @@ class TestMeasureDegenerate:
                 expected = np.outer(target, target)
                 np.testing.assert_allclose(post.entries, expected, atol=1e-12)
                 assert purity(post) == pytest.approx(1.0, abs=1e-10)
-                assert to_bloch(post, g).norm == pytest.approx(1.0, abs=1e-10)
+                assert to_bloch(post).norm == pytest.approx(1.0, abs=1e-10)
             else:
                 np.testing.assert_allclose(post.entries, B3.projector(0).entries, atol=1e-12)
 
     def test_pure_states_purify_for_random_partitions(self):
         rng_state = np.random.default_rng(2718)
         rng = RngSeed(2718).generator()
-        g = build_generators(4)
         b = MeasurementBasis.canonical(4)
         for _ in range(50):
             d = ket_to_density(random_ket(rng_state, 4))
             _, post = measure_degenerate(d, b, [[0, 2], [1, 3]], rng)
             assert purity(post) == pytest.approx(1.0, abs=1e-10)
-            assert to_bloch(post, g).norm == pytest.approx(1.0, abs=1e-10)
+            assert to_bloch(post).norm == pytest.approx(1.0, abs=1e-10)
 
     def test_malformed_partition_rejected(self):
         with pytest.raises(ContractError):
@@ -411,8 +408,7 @@ class TestGeometricOracle:
 
     def test_works_against_explicit_simplex(self):
         rng = np.random.default_rng(81)
-        g = build_generators(3)
-        s = basis_to_simplex(MeasurementBasis(np.linalg.qr(rng.standard_normal((3, 3)))[0]), g)
+        s = basis_to_simplex(MeasurementBasis(np.linalg.qr(rng.standard_normal((3, 3)))[0]))
         report = geometric_hit_count_oracle(
             Barycentric([0.5, 0.3, 0.2]), 20000, RngSeed(81).generator(), simplex=s
         )

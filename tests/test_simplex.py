@@ -1,41 +1,54 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochsim import (
     Barycentric,
     BasisError,
     BlochVector,
     ContractError,
+    DensityMatrix,
     DimensionError,
     GeometryError,
     Ket,
     MeasurementBasis,
+    RngSeed,
     barycentric_of,
     basis_to_simplex,
     born_probabilities,
-    build_generators,
     ket_to_density,
     project_onto_simplex,
     reduce_state,
+    run_trials,
     subregion_measures,
     to_bloch,
 )
-from blochsim.simplex import affine_coordinates
+from blochsim.simplex import _gram_schmidt, affine_coordinates
 from util import cm_measure, random_basis, random_density, random_ket, standard_state_3
 
 
 @pytest.fixture(scope="module")
-def g3():
-    return build_generators(3)
-
-
-@pytest.fixture(scope="module")
-def s3(g3):
-    return basis_to_simplex(MeasurementBasis.canonical(3), g3)
+def s3():
+    return basis_to_simplex(MeasurementBasis.canonical(3))
 
 
 def canonical_simplex(n):
-    return basis_to_simplex(MeasurementBasis.canonical(n), build_generators(n))
+    return basis_to_simplex(MeasurementBasis.canonical(n))
+
+
+def gram_schmidt_loop(rows: np.ndarray) -> np.ndarray:
+    """The row-by-row frame construction the QR factorization replaced, verbatim."""
+    q = rows.astype(np.float64).copy()
+    for i in range(q.shape[0]):
+        for _ in range(2):
+            for j in range(i):
+                q[i] -= (q[j] @ q[i]) * q[j]
+        norm = np.linalg.norm(q[i])
+        if norm < 1e-14:
+            raise GeometryError("degenerate edge set: simplex vertices are affinely dependent")
+        q[i] /= norm
+    return q
 
 
 class TestBasis:
@@ -47,10 +60,6 @@ class TestBasis:
     def test_canonical(self):
         b = MeasurementBasis.canonical(4)
         np.testing.assert_array_equal(b.kets, np.eye(4))
-
-    def test_dim_mismatch_with_generators(self, g3):
-        with pytest.raises(DimensionError):
-            basis_to_simplex(MeasurementBasis.canonical(2), g3)
 
 
 class TestGeometry:
@@ -88,15 +97,34 @@ class TestGeometry:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_random_bases_give_congruent_simplexes(self, n):
         rng = np.random.default_rng(40 + n)
-        g = build_generators(n)
         for _ in range(5):
-            s = basis_to_simplex(random_basis(rng, n), g)
+            s = basis_to_simplex(random_basis(rng, n))
             dots = s.vertices @ s.vertices.T
             expected = -1 / (n - 1) + (1 + 1 / (n - 1)) * np.eye(n)
             np.testing.assert_allclose(dots, expected, atol=1e-10)
 
     def test_frame_is_orthonormal(self, s3):
         np.testing.assert_allclose(s3.frame @ s3.frame.T, np.eye(2), atol=1e-14)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
+    def test_frame_is_gram_schmidt_on_the_edges(self, n, seed):
+        s = basis_to_simplex(random_basis(np.random.default_rng(seed), n))
+        expected = gram_schmidt_loop(s.vertices[:-1] - s.vertices[-1])
+        np.testing.assert_allclose(s.frame, expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(s.frame @ s.frame.T, np.eye(n - 1), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]],
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+            [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]],
+        ],
+    )
+    def test_rank_deficient_edges_raise(self, edges):
+        with pytest.raises(GeometryError, match="affinely dependent"):
+            _gram_schmidt(np.array(edges))
 
 
 class TestProjection:
@@ -107,13 +135,12 @@ class TestProjection:
 
     def test_equal_superposition_projects_to_center(self):
         s = canonical_simplex(2)
-        g = build_generators(2)
-        r = to_bloch(ket_to_density(Ket([1, 1] / np.sqrt(2))), g)
+        r = to_bloch(ket_to_density(Ket([1, 1] / np.sqrt(2))))
         proj = project_onto_simplex(r, s)
         np.testing.assert_allclose(proj.coords, np.zeros(3), atol=1e-12)
 
-    def test_weighted_ket_lands_at_born_barycentric(self, g3, s3):
-        r = to_bloch(standard_state_3(), g3)
+    def test_weighted_ket_lands_at_born_barycentric(self, s3):
+        r = to_bloch(standard_state_3())
         proj = project_onto_simplex(r, s3)
         bc = barycentric_of(proj, s3)
         np.testing.assert_allclose(bc.weights, [0.5, 0.3, 0.2], atol=1e-10)
@@ -121,13 +148,12 @@ class TestProjection:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_reduced_state_for_random_kets(self, n):
         rng = np.random.default_rng(50 + n)
-        g = build_generators(n)
         b = MeasurementBasis.canonical(n)
-        s = basis_to_simplex(b, g)
+        s = basis_to_simplex(b)
         for _ in range(100):
             d = ket_to_density(random_ket(rng, n))
-            proj = project_onto_simplex(to_bloch(d, g), s)
-            reduced = to_bloch(reduce_state(d, b), g)
+            proj = project_onto_simplex(to_bloch(d), s)
+            reduced = to_bloch(reduce_state(d, b))
             assert np.linalg.norm(proj.coords - reduced.coords) <= 1e-10
 
     def test_projection_of_far_outside_point_raises(self, s3):
@@ -187,18 +213,28 @@ class TestBornProbabilities:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_equals_projected_barycentric(self, n):
         rng = np.random.default_rng(60 + n)
-        g = build_generators(n)
         for _ in range(50):
             b = random_basis(rng, n)
-            s = basis_to_simplex(b, g)
+            s = basis_to_simplex(b)
             d = random_density(rng, n)
             p = born_probabilities(d, b)
-            bc = barycentric_of(project_onto_simplex(to_bloch(d, g), s), s)
+            bc = barycentric_of(project_onto_simplex(to_bloch(d), s), s)
             np.testing.assert_allclose(bc.weights, p.weights, atol=1e-10)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             born_probabilities(ket_to_density(Ket([1, 0])), MeasurementBasis.canonical(3))
+
+    def test_accepted_state_with_anti_hermitian_part_in_a_dense_basis(self):
+        # |D_jk - conj(D_kj)| = 1e-12 passes construction; every Fourier ket
+        # sums the anti-Hermitian part over all 56 off-diagonal entries, so
+        # Im <a_0|D|a_0> = 56 * 5e-13 / 8 = 3.5e-12
+        n = 8
+        d = DensityMatrix(np.eye(n) / n + 5e-13j * (np.ones((n, n)) - np.eye(n)))
+        fourier = MeasurementBasis(np.exp(2j * np.pi * np.outer(range(n), range(n)) / n) / np.sqrt(n))
+        np.testing.assert_allclose(born_probabilities(d, fourier).weights, np.full(n, 1 / n), atol=1e-15)
+        report = run_trials(d, fourier, 10_000, RngSeed(5))
+        assert sum(report.counts) == 10_000
 
 
 class TestSubregionMeasures:
@@ -211,13 +247,13 @@ class TestSubregionMeasures:
         assert mus[0] == pytest.approx(s3.total_measure, abs=1e-12)
         np.testing.assert_allclose(mus[1:], 0.0, atol=1e-12)
 
-    def test_ratios_equal_barycentric_weights(self, g3, s3):
-        rpar = project_onto_simplex(to_bloch(standard_state_3(), g3), s3)
+    def test_ratios_equal_barycentric_weights(self, s3):
+        rpar = project_onto_simplex(to_bloch(standard_state_3()), s3)
         mus = subregion_measures(rpar, s3)
         np.testing.assert_allclose(mus / s3.total_measure, [0.5, 0.3, 0.2], atol=1e-10)
 
-    def test_against_cayley_menger(self, g3, s3):
-        rpar = project_onto_simplex(to_bloch(standard_state_3(), g3), s3)
+    def test_against_cayley_menger(self, s3):
+        rpar = project_onto_simplex(to_bloch(standard_state_3()), s3)
         mus = subregion_measures(rpar, s3)
         for i in range(3):
             verts = s3.vertices.copy()
@@ -227,11 +263,10 @@ class TestSubregionMeasures:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_additivity(self, n):
         rng = np.random.default_rng(70 + n)
-        g = build_generators(n)
         b = MeasurementBasis.canonical(n)
-        s = basis_to_simplex(b, g)
+        s = basis_to_simplex(b)
         for _ in range(50):
-            rpar = project_onto_simplex(to_bloch(ket_to_density(random_ket(rng, n)), g), s)
+            rpar = project_onto_simplex(to_bloch(ket_to_density(random_ket(rng, n))), s)
             mus = subregion_measures(rpar, s)
             assert abs(mus.sum() - s.total_measure) <= 1e-10
 
