@@ -10,18 +10,21 @@ Classification rule. Writing lambda and the on-simplex state point r_par
 in barycentric coordinates b and p, membership lambda in A_i (the
 sub-simplex over {n_j : j != i} union {r_par}) is equivalent to
 
-    b_i / p_i = min_j b_j / p_j,      j ranging over the support p_j > 0:
+    b_i / p_i = min_j b_j / p_j,      with b_j / p_j = +inf where p_j = 0:
 
 expanding lambda = c0 r_par + sum_{j != i} c_j n_j gives c0 = b_i / p_i
 and c_j = b_j - (b_i / p_i) p_j, all nonnegative exactly at the argmin.
-An outcome with p_j = 0 owns a region of measure zero, so the rule
-ranges over the support only and such outcomes are never selected;
-their frequency is exactly zero. This O(N) rule is the production path
-and is written once, in ``_ratios``; :func:`classify`,
-:func:`run_trials` and the oracle's comparison all take the argmin of
-its output. :func:`geometric_hit_count_oracle` re-derives membership by
-brute-force convex-coefficient solves over the embedded vertices and is
-kept as an independent cross-check, never replaced by the shortcut.
+An outcome with p_j = 0 owns a region of measure zero; its column of
+ratios is +inf, which never beats the finite ratio of an outcome with
+p_j >= 1/N, so such outcomes are never selected and their frequency is
+exactly zero. Its column is divided by 1.0 before the +inf is written,
+never by 0, so an exact 0.0 draw cannot form the NaN of 0/0. This O(N)
+rule is the production path and is written once, in ``_ratios``;
+:func:`classify`, :func:`run_trials` and the oracle's comparison all
+take the argmin of its full-width output. :func:`geometric_hit_count_oracle`
+re-derives membership by brute-force convex-coefficient solves over the
+embedded vertices and is kept as an independent cross-check, never
+replaced by the shortcut.
 
 The oracle's solve. Each sample is embedded once, x = lambda . V, and
 taken to frame coordinates y = frame . (x - centroid) with one off-hull
@@ -49,10 +52,26 @@ with rate p_i is the smallest with probability p_i / sum_j p_j = p_i
 exactly. All draws come from one stream of exponentials,
 ``_exponential_rows``, filled into one reused buffer of
 ``_CHUNK_ELEMS`` elements; the values do not depend on the chunking.
-``_lambda_rows`` normalises those rows for the callers that need points
-on the simplex (:func:`sample_lambda`, the oracle). Skipping the
-normalisation can change an outcome only where two ratios of a row
-agree to within one rounding step.
+:func:`run_trials` tiles the divisors (p, zero weights replaced by 1.0)
+once per call over at most one block of rows and divides each block in
+place as one flat loop: the same IEEE quotients as ``E / p``, element
+by element, without its per-block temporary and without the broadcast,
+which runs one inner loop of length N per row (1.43 against 0.35 ms per
+block at N = 2). ``_lambda_rows`` normalises those rows for the callers
+that need points on the simplex (:func:`sample_lambda`, the oracle).
+Skipping the normalisation can change an outcome only where two ratios
+of a row agree to within one rounding step.
+
+The tally. Below ``_SWEEP_BELOW_N`` = 8 outcomes, :func:`run_trials`
+counts each block's winners without a per-row argmin: one sweep over
+the columns sets mask_j where column j is below the running minimum of
+the columns before it, a row's winner is its last j with mask_j set (the
+first index attaining the minimum), and c_j = #(mask_j and no later
+mask), c_0 = rows - sum. From N = 8 on, ``bincount(argmin(axis=1))``
+is cheaper. Per 2^18-element block on a 2-core Xeon VM, mask sweep
+against argmin + bincount: 0.39 vs 2.90 ms at N = 2, 0.61 vs 2.17 at
+N = 3, 0.83 vs 1.66 at N = 4, 1.10 vs 1.62 at N = 6 and 1.42 vs 1.32 at
+N = 8; the exponential fill of the block takes about 1.4 ms at every N.
 
 Ties (boundary lambdas, measure zero) break to the smallest index.
 
@@ -81,6 +100,10 @@ from .tolerances import BOUNDARY_TOL, HULL_TOL, MEMBER_TOL, TIE_BAND
 #: Elements (not rows) per block of exponential draws: 2 MiB of float64,
 #: so a block and its ratios stay cache-resident at every N.
 _CHUNK_ELEMS = 1 << 18
+
+#: :func:`run_trials` tallies its winners by a sweep of masks below this
+#: many outcomes, by argmin and bincount from it on (see the module docstring).
+_SWEEP_BELOW_N = 8
 
 
 def _as_integer(value, what: str) -> int:
@@ -194,14 +217,19 @@ class OracleReport:
         object.__setattr__(self, "counts", counts)
 
 
+def _block_rows(n: int) -> int:
+    """Rows of n draws per block of ``_CHUNK_ELEMS`` elements, at least one."""
+    return max(1, _CHUNK_ELEMS // n)
+
+
 def _exponential_rows(n: int, count: int, rng: np.random.Generator):
     """Yield ``count`` rows of n unit-rate exponentials as row blocks.
 
     Every block is a view of one buffer that the next block overwrites;
-    at most ``_CHUNK_ELEMS // n`` rows (at least one) per block. The
+    at most :func:`_block_rows` rows per block. The
     values are those of ``rng.exponential(size=(count, n))``.
     """
-    rows = max(1, _CHUNK_ELEMS // n)
+    rows = _block_rows(n)
     buf = np.empty((min(count, rows), n))
     while count > 0:
         m = min(count, rows)
@@ -218,16 +246,56 @@ def _lambda_rows(n: int, count: int, rng: np.random.Generator):
         yield draws / draws.sum(axis=1, keepdims=True)
 
 
-def _ratios(lam: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(sup, b_j / p_j over sup)`` along the last axis, sup the support p > 0.
+def _ratios(lam: np.ndarray, p: np.ndarray, divisors: np.ndarray | None = None) -> np.ndarray:
+    """b_j / p_j along the last axis of ``lam``, +inf where p_j = 0.
 
-    The outcome is ``sup[argmin]``; ``lam`` may be unnormalized.
+    The outcome is the argmin; ``lam`` may be unnormalized. A zero weight
+    divides by 1.0 and its column is then overwritten, so an exact 0.0
+    draw never forms 0/0. Given ``divisors``, :func:`_divisors` of p over
+    at least as many rows as ``lam`` has, ``lam`` is divided in place and
+    returned; operands of one shape run as one flat loop, not one per row.
     """
-    sup = np.flatnonzero(p > 0.0)
-    if sup.size == p.size:
-        # the gather lam[..., sup] copies every row: a third of the trial loop at N = 32
-        return sup, lam / p
-    return sup, lam[..., sup] / p[sup]
+    support = p > 0.0
+    full = np.count_nonzero(support) == p.size
+    if divisors is None:
+        ratios = lam / (p if full else np.where(support, p, 1.0))
+    else:
+        ratios = np.divide(lam, divisors[: lam.size].reshape(lam.shape), out=lam)
+    if not full:
+        ratios[..., ~support] = np.inf
+    return ratios
+
+
+def _divisors(p: np.ndarray, rows: int) -> np.ndarray:
+    """p with its zero weights replaced by 1.0, repeated ``rows`` times, flat."""
+    return np.tile(np.where(p > 0.0, p, 1.0), rows)
+
+
+def _tally(ratios: np.ndarray, counts: np.ndarray) -> None:
+    """Add each row's argmin (ties to the smallest index) to ``counts``.
+
+    Below ``_SWEEP_BELOW_N`` columns by the sweep of masks of the module
+    docstring: a row's winner is its last j with mask_j set, 0 if none.
+    """
+    m, n = ratios.shape
+    if n >= _SWEEP_BELOW_N:
+        counts += np.bincount(np.argmin(ratios, axis=1), minlength=n)
+        return
+    masks = np.empty((n, m), dtype=bool)  # row 0 unused
+    running = ratios[:, 0].copy()
+    for j in range(1, n):
+        col = ratios[:, j]
+        np.less(col, running, out=masks[j])
+        if j < n - 1:
+            np.minimum(running, col, out=running)
+    later = np.zeros(m, dtype=bool)
+    won = 0
+    for j in range(n - 1, 0, -1):
+        c = np.count_nonzero(masks[j] > later)  # mask_j and no later mask
+        counts[j] += c
+        won += c
+        later |= masks[j]
+    counts[0] += m - won
 
 
 def sample_lambda(n: int, rng: np.random.Generator) -> Barycentric:
@@ -244,15 +312,14 @@ def sample_lambda(n: int, rng: np.random.Generator) -> Barycentric:
 def classify(lam: Barycentric, p: Barycentric) -> int:
     """Index of the sub-region A_i containing lambda, given the state point p.
 
-    Implements i = argmin_j b_j / p_j over the support p_j > 0, ties to
+    Implements i = argmin_j b_j / p_j, with +inf where p_j = 0, ties to
     the smallest index. When p is a vertex (one weight equal to 1) the
     result is deterministically that outcome. The sum-to-one contract on
     p is enforced by the Barycentric type.
     """
     if lam.dim != p.dim:
         raise DimensionError(f"lambda has dim {lam.dim} but p has dim {p.dim}")
-    sup, ratios = _ratios(lam.weights, p.weights)
-    return int(sup[np.argmin(ratios)])
+    return int(np.argmin(_ratios(lam.weights, p.weights)))
 
 
 def measure_once(
@@ -361,9 +428,9 @@ def run_trials(
     k = d.dim
 
     counts = np.zeros(k, dtype=np.int64)
+    divisors = _divisors(pw, min(n_trials, _block_rows(k)))
     for draws in _exponential_rows(k, n_trials, seed.generator()):
-        sup, ratios = _ratios(draws, pw)
-        counts[sup] += np.bincount(np.argmin(ratios, axis=1), minlength=sup.size)
+        _tally(_ratios(draws, pw, divisors), counts)
 
     if partition is None:
         return TrialReport(n_trials, p, counts)
@@ -507,7 +574,7 @@ def geometric_hit_count_oracle(
                 )
             member = np.argmax(accept, axis=0)
 
-            argmin, gap = _argmin_and_gap(_ratios(lam, pw)[1])
+            argmin, gap = _argmin_and_gap(_ratios(lam, pw))
             tie_rows = (n_accept > 1) | (gap <= TIE_BAND)
 
             counts += np.bincount(member, minlength=n)

@@ -94,7 +94,7 @@ def reference_oracle(
             )
         member = np.argmax(accept, axis=1)
 
-        _, ratios = _ratios(lam, pw)
+        ratios = _ratios(lam, pw)
         argmin = np.argmin(ratios, axis=1)
         two_smallest = np.partition(ratios, 1, axis=1)
         tie_rows = (n_accept > 1) | (two_smallest[:, 1] - two_smallest[:, 0] <= TIE_BAND)

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochsim import (
@@ -280,17 +282,30 @@ def _born_vectors(draw):
     return w / w.sum()
 
 
+#: Trial counts around the first chunk boundary of run_trials, and past the second.
+TRIALS = {
+    "chunk-1": lambda n: sampler._CHUNK_ELEMS // n - 1,
+    "chunk": lambda n: sampler._CHUNK_ELEMS // n,
+    "chunk+1": lambda n: sampler._CHUNK_ELEMS // n + 1,
+    "two-chunks+3": lambda n: 2 * (sampler._CHUNK_ELEMS // n) + 3,
+}
+
+
 class TestLeanKernel:
-    """The unnormalised, support-only trial loop against the normalising rule."""
+    """The unnormalised, full-width trial loop against the normalising rule."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(p=_born_vectors(), offset=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 2**32))
-    def test_counts_match_the_normalising_rule_across_a_chunk_boundary(self, p, offset, seed):
+    @given(p=_born_vectors(), trials=st.sampled_from(sorted(TRIALS)), seed=st.integers(0, 2**32))
+    # N = 7, the largest N the mask sweep tallies; N = 8, the smallest that argmin tallies
+    @example(p=np.array([2, 0, 1, 1, 2, 1, 1]) / 8, trials="two-chunks+3", seed=7)
+    @example(p=np.full(8, 0.125), trials="chunk+1", seed=8)
+    @example(p=np.array([0, 2, 0, 2, 1, 1, 1, 1]) / 8, trials="two-chunks+3", seed=9)
+    def test_counts_match_the_normalising_rule_across_a_chunk_boundary(self, p, trials, seed):
         n = p.size
         d = DensityMatrix(np.diag(p).astype(complex))
         b = MeasurementBasis.canonical(n)
         np.testing.assert_array_equal(born_probabilities(d, b).weights, p)
-        n_trials = sampler._CHUNK_ELEMS // n + offset
+        n_trials = TRIALS[trials](n)
 
         report = run_trials(d, b, n_trials, RngSeed(seed))
         lam, outcomes = _normalising_rule(p, n_trials, RngSeed(seed))
@@ -300,6 +315,79 @@ class TestLeanKernel:
         probs = Barycentric(p)
         for row in (*range(5), *range(n_trials - 5, n_trials)):
             assert classify(Barycentric(lam[row]), probs) == outcomes[row]
+
+
+def _support_kernel(blocks, pw: np.ndarray) -> np.ndarray:
+    """The trial loop before the full-width ratio rule: support gather, argmin, bincount."""
+    counts = np.zeros(pw.size, dtype=np.int64)
+    for draws in blocks:
+        sup = np.flatnonzero(pw > 0.0)
+        if sup.size == pw.size:
+            ratios = draws / pw
+        else:
+            ratios = draws[..., sup] / pw[sup]
+        counts[sup] += np.bincount(np.argmin(ratios, axis=1), minlength=sup.size)
+    return counts
+
+
+def _dyadic_weights(rng, n: int, zeros: bool) -> np.ndarray:
+    """Born weights k_j / 256, so that (c p_j) / p_j == c exactly for c in 2^-6 Z."""
+    w = np.zeros(n)
+    sup = rng.permutation(n)[: max(1, n - n // 3)] if zeros else np.arange(n)
+    w[sup] = 1 + rng.multinomial(256 - sup.size, np.full(sup.size, 1 / sup.size))
+    return w / 256
+
+
+def _planted_rows(rng, p: np.ndarray, rows: int):
+    """Exponential rows whose minimal ratio E_j / p_j is shared by a random set
+    of support columns, with their winners, the smallest index of that set.
+
+    Every fourth row plants the tie at E_j = 0.0; half the zero-weight
+    entries are drawn as 0.0 as well.
+    """
+    sup = np.flatnonzero(p > 0.0)
+    lam = rng.exponential(size=(rows, p.size))
+    winners = np.empty(rows, dtype=np.intp)
+    for r in range(rows):
+        tied = rng.choice(sup, size=rng.integers(min(2, sup.size), sup.size + 1), replace=False)
+        low = 64 * np.min(lam[r, sup] / p[sup])
+        c = 0.0 if r % 4 == 0 or low < 1 else (np.ceil(low) - 1) / 64
+        lam[r, tied] = c * p[tied]
+        winners[r] = tied.min()
+    off = p == 0.0
+    lam[:, off] = np.where(rng.random((rows, int(off.sum()))) < 0.5, 0.0, lam[:, off])
+    return lam, winners
+
+
+class TestPlantedRows:
+    """Exact ties and exact 0.0 draws, on both sides of the tally threshold."""
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 32])
+    def test_ties_go_to_the_smallest_index_as_before(self, n, zeros, monkeypatch):
+        rng = np.random.default_rng(100 * n + zeros)
+        p = _dyadic_weights(rng, n, zeros)
+        d = DensityMatrix(np.diag(p).astype(complex))
+        b = MeasurementBasis.canonical(n)
+        np.testing.assert_array_equal(born_probabilities(d, b).weights, p)
+        lam, winners = _planted_rows(rng, p, 400)
+        blocks = (lam[:250], lam[250:])
+
+        def planted(dim, count, rng):
+            assert (dim, count) == (n, len(lam))
+            for block in blocks:
+                yield block.copy()
+
+        monkeypatch.setattr(sampler, "_exponential_rows", planted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_trials(d, b, len(lam), RngSeed(0))
+            ratios = sampler._ratios(lam, p)
+
+        np.testing.assert_array_equal(report.counts, _support_kernel(blocks, p))
+        np.testing.assert_array_equal(report.counts, np.bincount(winners, minlength=n))
+        np.testing.assert_array_equal(np.argmin(ratios, axis=1), winners)
+        assert np.isposinf(ratios[:, p == 0.0]).all() and np.isfinite(ratios[:, p > 0.0]).all()
 
 
 class TestPartitionValidation:
