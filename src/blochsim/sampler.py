@@ -31,14 +31,15 @@ taken to frame coordinates y = frame . (x - centroid) with one off-hull
 residual; the coefficients of all N regions then come from one product
 of [y; 1] with the N stacked inverses of the square systems
 [frame . (n_j - centroid), j != i | frame . (r_par - centroid); 1], each
-checked by its back-substitution residual. It works in blocks of at
-most ``_CHUNK_ELEMS // N^2`` samples, sample axis last, so a block's
-coefficients take 2 MiB and its peak stays near a dozen MiB at every N.
-The ratio rule enters only afterwards, as the route the oracle is
-compared with, and its argmin and tie gap come from a sweep over the
-columns of ``_ratios``. With one BLAS thread on a 2-core Xeon VM the
-oracle solves 4000-7600, 1200-2100 and 55-95 ksamples/s at N = 3, 8
-and 32 (the range is the host's load), 3, 6 and 15 times the
+checked by its back-substitution residual. It works in blocks of
+``_CHUNK_ELEMS // N^2`` samples, at least ``_ORACLE_MIN_BLOCK`` = 256,
+sample axis last: a block's coefficients take 512 KiB up to N = 16 and
+2 MiB at N = 32, and the traced peak of a run is 2.8, 2.3 and 7.2 MiB
+at N = 3, 8 and 32. The ratio rule enters only afterwards, as the route
+the oracle is compared with, and its argmin and tie gap come from a
+sweep over the columns of ``_ratios``. With one BLAS thread on a 2-core
+Xeon VM the oracle solves 4000-7600, 1200-2100 and 55-95 ksamples/s at
+N = 3, 8 and 32 (the range is the host's load), 3, 6 and 15 times the
 per-region pseudo-inverse solve it replaced.
 
 The exponential race. A uniform lambda is b = E / sum_k E_k with the
@@ -51,27 +52,36 @@ with rate p_i is the smallest with probability p_i / sum_j p_j = p_i
 (the sum runs over the support): the race reproduces the Born weights
 exactly. All draws come from one stream of exponentials,
 ``_exponential_rows``, filled into one reused buffer of
-``_CHUNK_ELEMS`` elements; the values do not depend on the chunking.
-:func:`run_trials` tiles the divisors (p, zero weights replaced by 1.0)
-once per call over at most one block of rows and divides each block in
-place as one flat loop: the same IEEE quotients as ``E / p``, element
-by element, without its per-block temporary and without the broadcast,
-which runs one inner loop of length N per row (1.43 against 0.35 ms per
-block at N = 2). ``_lambda_rows`` normalises those rows for the callers
-that need points on the simplex (:func:`sample_lambda`, the oracle).
+``_CHUNK_ELEMS`` = 2^16 elements; the values do not depend on the
+chunking. :func:`run_trials` tiles the divisors (p, zero weights
+replaced by 1.0) once per call over at most one block of rows and
+divides each block in place as one flat loop: the same IEEE quotients
+as ``E / p``, element by element, without its per-block temporary and
+without the broadcast, which runs one inner loop of length N per row
+(0.31 against 0.06 ms per block at N = 2). The buffer and the tile take
+512 KiB each, so the loop's working set fits the 2 MiB L2 of one core
+of a 2-core Xeon VM, which the 4 MiB of two 2^18-element arrays did
+not, and a run of any length peaks near 1 MiB (tracemalloc).
+``_lambda_rows`` normalises those rows in place for the callers that
+need points on the simplex (:func:`sample_lambda`, the oracle).
 Skipping the normalisation can change an outcome only where two ratios
 of a row agree to within one rounding step.
 
-The tally. Below ``_SWEEP_BELOW_N`` = 8 outcomes, :func:`run_trials`
+The tally. Below ``_SWEEP_BELOW_N`` = 16 outcomes, :func:`run_trials`
 counts each block's winners without a per-row argmin: one sweep over
 the columns sets mask_j where column j is below the running minimum of
 the columns before it, a row's winner is its last j with mask_j set (the
 first index attaining the minimum), and c_j = #(mask_j and no later
-mask), c_0 = rows - sum. From N = 8 on, ``bincount(argmin(axis=1))``
-is cheaper. Per 2^18-element block on a 2-core Xeon VM, mask sweep
-against argmin + bincount: 0.39 vs 2.90 ms at N = 2, 0.61 vs 2.17 at
-N = 3, 0.83 vs 1.66 at N = 4, 1.10 vs 1.62 at N = 6 and 1.42 vs 1.32 at
-N = 8; the exponential fill of the block takes about 1.4 ms at every N.
+mask), c_0 = rows - sum. From N = 16 on, ``bincount(argmin(axis=1))``
+is as fast. Per 2^16-element block on a 2-core Xeon VM, mask sweep
+against argmin + bincount: 0.07 vs 0.50 ms at N = 2, 0.10 vs 0.46 at
+N = 3, 0.12 vs 0.38 at N = 4, 0.15 vs 0.31 at N = 6, 0.17 vs 0.28 at
+N = 8 and 0.20 vs 0.22 at N = 12; the exponential fill of the block
+takes 0.35-0.55 ms at every N. On a block already in cache the two
+meet near N = 14; inside :func:`run_trials`, where the threshold
+applies, they meet at N = 16: the median rate ratio sweep/argmin over
+21-31 alternating runs of 10^6 trials was 1.18 at N = 8, 1.11 at 12,
+1.07-1.08 at 14, 1.04-1.05 at 15, 1.02-1.04 at 16 and 0.98-0.99 at 17.
 
 Ties (boundary lambdas, measure zero) break to the smallest index.
 
@@ -97,13 +107,20 @@ from .simplex import (
 )
 from .tolerances import BOUNDARY_TOL, HULL_TOL, MEMBER_TOL, TIE_BAND
 
-#: Elements (not rows) per block of exponential draws: 2 MiB of float64,
-#: so a block and its ratios stay cache-resident at every N.
-_CHUNK_ELEMS = 1 << 18
+#: Elements (not rows) per block of exponential draws: 512 KiB of float64.
+#: The trial loop holds the block and a divisor tile of the same size, so
+#: its working set (1 MiB) fits the 2 MiB L2 of one core at every N.
+_CHUNK_ELEMS = 1 << 16
+
+#: Fewest samples per oracle block. At N = 32, ``_CHUNK_ELEMS // N^2``
+#: would give 64-sample blocks, and each block makes N batched
+#: back-substitution products, which then ran 21-29% slower; 256 keeps
+#: the block of the 2^18-element chunking at N = 32.
+_ORACLE_MIN_BLOCK = 256
 
 #: :func:`run_trials` tallies its winners by a sweep of masks below this
 #: many outcomes, by argmin and bincount from it on (see the module docstring).
-_SWEEP_BELOW_N = 8
+_SWEEP_BELOW_N = 16
 
 
 def _as_integer(value, what: str) -> int:
@@ -159,7 +176,7 @@ class TrialReport:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.array(self.counts, dtype=np.int64)
         if counts.shape != (self.exact_probs.dim,):
             raise DimensionError("counts do not match the probability vector")
         if int(counts.sum()) != self.n_trials:
@@ -210,7 +227,7 @@ class OracleReport:
         return self.n_samples - self.disagreements
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.array(self.counts, dtype=np.int64)
         if int(counts.sum()) != self.n_samples:
             raise ContractError("oracle counts must sum to the sample count")
         counts.setflags(write=False)
@@ -220,6 +237,12 @@ class OracleReport:
 def _block_rows(n: int) -> int:
     """Rows of n draws per block of ``_CHUNK_ELEMS`` elements, at least one."""
     return max(1, _CHUNK_ELEMS // n)
+
+
+def _oracle_block(n: int) -> int:
+    """Samples per block of the oracle: ``_CHUNK_ELEMS // n^2``, at least
+    ``_ORACLE_MIN_BLOCK``."""
+    return max(_CHUNK_ELEMS // (n * n), _ORACLE_MIN_BLOCK)
 
 
 def _exponential_rows(n: int, count: int, rng: np.random.Generator):
@@ -240,10 +263,12 @@ def _exponential_rows(n: int, count: int, rng: np.random.Generator):
 def _lambda_rows(n: int, count: int, rng: np.random.Generator):
     """Yield ``count`` uniform points of the (n-1)-simplex as row blocks.
 
-    Each row of :func:`_exponential_rows` normalized by its sum.
+    Each row of :func:`_exponential_rows` normalized by its sum, in place:
+    every block is a view of the buffer that the next block overwrites.
     """
     for draws in _exponential_rows(n, count, rng):
-        yield draws / draws.sum(axis=1, keepdims=True)
+        draws /= draws.sum(axis=1, keepdims=True)
+        yield draws
 
 
 def _ratios(lam: np.ndarray, p: np.ndarray, divisors: np.ndarray | None = None) -> np.ndarray:
@@ -426,16 +451,16 @@ def run_trials(
     p = born_probabilities(d, b)
     pw = p.weights
     k = d.dim
+    blocks = None if partition is None else validate_partition(partition, k)
 
     counts = np.zeros(k, dtype=np.int64)
     divisors = _divisors(pw, min(n_trials, _block_rows(k)))
     for draws in _exponential_rows(k, n_trials, seed.generator()):
         _tally(_ratios(draws, pw, divisors), counts)
 
-    if partition is None:
+    if blocks is None:
         return TrialReport(n_trials, p, counts)
 
-    blocks = validate_partition(partition, k)
     class_counts = np.array([counts[np.asarray(blk, dtype=np.intp)].sum() for blk in blocks])
     class_probs = np.array([pw[np.asarray(blk, dtype=np.intp)].sum() for blk in blocks])
     return TrialReport(n_trials, Barycentric(class_probs), class_counts)
@@ -497,11 +522,12 @@ def geometric_hit_count_oracle(
 
     The membership test never reads the ratio rule: it solves the
     embedded geometry, so a fault in either route shows as a
-    disagreement. Samples run in blocks of at most ``_CHUNK_ELEMS // N^2``
-    with the sample axis last, so each block's N x N coefficients take
-    2 MiB and every reduction runs over a short leading axis. With one
-    BLAS thread on a 2-core Xeon VM this solves 4000-7600, 1200-2100 and
-    55-95 ksamples/s at N = 3, 8 and 32.
+    disagreement. Samples run in blocks of ``_CHUNK_ELEMS // N^2``, at
+    least ``_ORACLE_MIN_BLOCK``, with the sample axis last, so each
+    block's N x N coefficients take 512 KiB (2 MiB at N = 32) and every
+    reduction runs over a short leading axis. With one BLAS thread on a
+    2-core Xeon VM this solves 4000-7600, 1200-2100 and 55-95 ksamples/s
+    at N = 3, 8 and 32.
 
     ``simplex`` defaults to the canonical-basis simplex of the matching
     dimension; the statistics are affine-invariant, so any simplex of the
@@ -536,7 +562,7 @@ def geometric_hit_count_oracle(
     counts = np.zeros(n, dtype=np.int64)
     ties = 0
     disagreements = 0
-    block = max(1, _CHUNK_ELEMS // (n * n))
+    block = _oracle_block(n)
     # three reused slabs: embedded points and coefficients, the hull
     # projection and the back-substitution, the right-hand sides
     slabs = np.empty((3, n * n * min(block, n_samples)))

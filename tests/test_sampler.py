@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,9 @@ from blochsim import (
     GeometryError,
     Ket,
     MeasurementBasis,
+    OracleReport,
     RngSeed,
+    TrialReport,
     basis_to_simplex,
     born_probabilities,
     classify,
@@ -258,6 +261,42 @@ class TestRunTrials:
         with pytest.raises(ContractError):
             merge_reports([a, b])
 
+    def test_malformed_partition_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew trials for a malformed partition")
+
+        monkeypatch.setattr(sampler, "_exponential_rows", no_draws)
+        with pytest.raises(ContractError, match="partition: duplicate index 0"):
+            run_trials(standard_state_3(), B3, 10**7, RngSeed(1), partition=[[0], [0]])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda c: TrialReport(3, Barycentric([0.5, 0.5]), c),
+            lambda c: OracleReport(3, c, ties=0, disagreements=0),
+        ],
+        ids=["trial", "oracle"],
+    )
+    def test_reports_copy_the_callers_counts(self, make):
+        counts = np.array([1, 2], dtype=np.int64)
+        report = make(counts)
+        assert counts.flags.writeable and not report.counts.flags.writeable
+        assert not np.shares_memory(counts, report.counts)
+
+    @pytest.mark.parametrize("n", [2, 32])
+    def test_peak_memory_stays_within_two_blocks(self, n):
+        # the reused draw buffer and the divisor tile, 512 KiB each
+        p = np.arange(1, n + 1) / (n * (n + 1) / 2)
+        d = DensityMatrix(np.diag(p).astype(complex))
+        b = MeasurementBasis.canonical(n)
+        tracemalloc.start()
+        try:
+            run_trials(d, b, 200_000, RngSeed(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 def _normalising_rule(p: np.ndarray, n_trials: int, seed: RngSeed):
     """Rows on the simplex and their outcomes under the normalising rule.
@@ -291,15 +330,26 @@ TRIALS = {
 }
 
 
+#: The tally threshold: N = SWEEP - 1 is the largest N the mask sweep
+#: tallies, N = SWEEP the smallest that argmin tallies.
+SWEEP = sampler._SWEEP_BELOW_N
+
+
+def _alternating_weights(n: int, zeros=()) -> np.ndarray:
+    """Born weights proportional to 1, 2, 1, 2, ..., zero at ``zeros``."""
+    w = 1.0 + np.arange(n) % 2
+    w[list(zeros)] = 0.0
+    return w / w.sum()
+
+
 class TestLeanKernel:
     """The unnormalised, full-width trial loop against the normalising rule."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(p=_born_vectors(), trials=st.sampled_from(sorted(TRIALS)), seed=st.integers(0, 2**32))
-    # N = 7, the largest N the mask sweep tallies; N = 8, the smallest that argmin tallies
-    @example(p=np.array([2, 0, 1, 1, 2, 1, 1]) / 8, trials="two-chunks+3", seed=7)
-    @example(p=np.full(8, 0.125), trials="chunk+1", seed=8)
-    @example(p=np.array([0, 2, 0, 2, 1, 1, 1, 1]) / 8, trials="two-chunks+3", seed=9)
+    @example(p=_alternating_weights(SWEEP - 1, zeros=[1]), trials="two-chunks+3", seed=7)
+    @example(p=np.full(SWEEP, 1 / SWEEP), trials="chunk+1", seed=8)
+    @example(p=_alternating_weights(SWEEP, zeros=[0, 2]), trials="two-chunks+3", seed=9)
     def test_counts_match_the_normalising_rule_across_a_chunk_boundary(self, p, trials, seed):
         n = p.size
         d = DensityMatrix(np.diag(p).astype(complex))
@@ -363,7 +413,7 @@ class TestPlantedRows:
     """Exact ties and exact 0.0 draws, on both sides of the tally threshold."""
 
     @pytest.mark.parametrize("zeros", [False, True])
-    @pytest.mark.parametrize("n", [2, 3, 7, 8, 32])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, SWEEP - 1, SWEEP, 32])
     def test_ties_go_to_the_smallest_index_as_before(self, n, zeros, monkeypatch):
         rng = np.random.default_rng(100 * n + zeros)
         p = _dyadic_weights(rng, n, zeros)
