@@ -60,12 +60,6 @@ from .tolerances import ALGEBRA_TOL, EIGEN_TOL
 _TRACE_IMAG_TOL = math.sqrt(2.0) * ALGEBRA_TOL
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class Ket:
     """A unit-normalized complex state vector.
@@ -77,15 +71,16 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.array(self.amplitudes, dtype=np.complex128, order="C")
         if amps.ndim != 1 or amps.size < 2:
             raise DimensionError(f"ket must be a vector of length >= 2, got shape {amps.shape}")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = float((np.abs(amps) ** 2).sum())
         if not abs(norm_sq - 1.0) <= ALGEBRA_TOL:
             raise NormalizationError(
                 f"ket is not unit-normalized: sum |psi_k|^2 = {norm_sq!r}"
             )
-        object.__setattr__(self, "amplitudes", _as_readonly(amps))
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
@@ -105,18 +100,19 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128)
+        m = np.array(self.entries, dtype=np.complex128, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise DimensionError(f"density matrix must be square with N >= 2, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise NormalizationError("matrix has non-finite entries")
-        herm = float(np.max(np.abs(m - m.conj().T)))
+        herm = float(np.abs(m - m.conj().T).max())
         if not herm <= ALGEBRA_TOL:
             raise NormalizationError(f"matrix is not Hermitian: max |D - D^dagger| = {herm:.3e}")
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if not abs(tr - 1.0) <= ALGEBRA_TOL:
             raise NormalizationError(f"matrix does not have unit trace: Tr D = {tr!r}")
-        object.__setattr__(self, "entries", _as_readonly(m))
+        m.setflags(write=False)
+        object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:
@@ -143,7 +139,7 @@ class BlochVector:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.float64)
+        c = np.array(self.coords, dtype=np.float64, order="C")
         if self.dim < 2:
             raise DimensionError(f"Bloch vector needs dim >= 2, got {self.dim}")
         if c.shape != (self.dim**2 - 1,):
@@ -153,7 +149,8 @@ class BlochVector:
             )
         if not np.isfinite(c).all():
             raise ContractError("Bloch vector has non-finite coordinates")
-        object.__setattr__(self, "coords", _as_readonly(c))
+        c.setflags(write=False)
+        object.__setattr__(self, "coords", c)
 
     @property
     def norm(self) -> float:
@@ -221,7 +218,7 @@ def _closed_form_traces(d: np.ndarray) -> np.ndarray:
 
 def _traces_to_coords(traces: np.ndarray, n: int) -> np.ndarray:
     """r_j = (N / (2 c_N)) Tr(D L_j), after checking the traces are real to _TRACE_IMAG_TOL."""
-    imag = float(np.max(np.abs(traces.imag)))
+    imag = float(np.abs(traces.imag).max())
     if not imag <= _TRACE_IMAG_TOL:
         raise ContractError(f"Tr(D L_j) has imaginary residual {imag:.3e} > {_TRACE_IMAG_TOL:.3e}")
     return (n / (2.0 * radius_scale(n))) * traces.real

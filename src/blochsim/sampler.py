@@ -62,8 +62,8 @@ without the broadcast, which runs one inner loop of length N per row
 512 KiB each, so the loop's working set fits the 2 MiB L2 of one core
 of a 2-core Xeon VM, which the 4 MiB of two 2^18-element arrays did
 not, and a run of any length peaks near 1 MiB (tracemalloc).
-``_lambda_rows`` normalises those rows in place for the callers that
-need points on the simplex (:func:`sample_lambda`, the oracle).
+``_lambda_rows`` normalises those rows in place for the oracle, and
+:func:`sample_lambda` one row of its own, drawn in one call.
 Skipping the normalisation can change an outcome only where two ratios
 of a row agree to within one rounding step.
 
@@ -133,6 +133,19 @@ def _as_integer(value, what: str) -> int:
         raise ContractError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _tallies(counts, total: int, what: str) -> np.ndarray:
+    """Read-only int64 ``counts``: a vector of nonnegative tallies summing to ``total``."""
+    c = np.array(counts, dtype=np.int64)
+    if c.ndim != 1 or c.size == 0:
+        raise ContractError(f"{what} must be a nonempty vector, got shape {c.shape}")
+    if c.min() < 0:
+        raise ContractError(f"{what} must be nonnegative, got {c.tolist()}")
+    if int(c.sum()) != total:
+        raise ContractError(f"{what} sum to {int(c.sum())}, expected {total}")
+    c.setflags(write=False)
+    return c
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """A reproducible random stream: same (seed, stream) gives the same draws.
@@ -154,8 +167,9 @@ class RngSeed:
         object.__setattr__(self, "stream", stream)
 
     def generator(self) -> np.random.Generator:
+        """PCG64 on SeedSequence(seed, spawn_key=(stream,)): the stream default_rng builds."""
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
-        return np.random.default_rng(ss)
+        return np.random.Generator(np.random.PCG64(ss))
 
 
 @dataclass(frozen=True)
@@ -176,15 +190,9 @@ class TrialReport:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
-        if counts.shape != (self.exact_probs.dim,):
+        if np.shape(self.counts) != (self.exact_probs.dim,):
             raise DimensionError("counts do not match the probability vector")
-        if int(counts.sum()) != self.n_trials:
-            raise ContractError(
-                f"counts sum to {int(counts.sum())}, expected n_trials = {self.n_trials}"
-            )
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _tallies(self.counts, self.n_trials, "counts"))
 
     @property
     def empirical_freqs(self) -> np.ndarray:
@@ -227,11 +235,9 @@ class OracleReport:
         return self.n_samples - self.disagreements
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
-        if int(counts.sum()) != self.n_samples:
-            raise ContractError("oracle counts must sum to the sample count")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        if not (0 <= self.ties <= self.n_samples and 0 <= self.disagreements <= self.n_samples):
+            raise ContractError(f"oracle ties and disagreements must lie in 0..{self.n_samples}")
+        object.__setattr__(self, "counts", _tallies(self.counts, self.n_samples, "oracle counts"))
 
 
 def _block_rows(n: int) -> int:
@@ -326,12 +332,14 @@ def _tally(ratios: np.ndarray, counts: np.ndarray) -> None:
 def sample_lambda(n: int, rng: np.random.Generator) -> Barycentric:
     """One interaction point, Lebesgue-uniform on the (n-1)-simplex.
 
-    Rejection-free in any dimension; consumes the same draws as one row
-    of a :func:`run_trials` chunk.
+    One ``standard_exponential(n)`` call divided by its sum: the draws of
+    one row of a :func:`run_trials` block, normalised as ``_lambda_rows`` does.
     """
     if n < 2:
         raise DimensionError(f"simplex sampling needs n >= 2, got {n}")
-    return Barycentric(next(_lambda_rows(n, 1, rng))[0])
+    e = rng.standard_exponential(n)
+    e /= e.sum()
+    return Barycentric(e)
 
 
 def classify(lam: Barycentric, p: Barycentric) -> int:
@@ -365,7 +373,9 @@ def _set_partition(partition, labels: range) -> tuple[tuple[int, ...], ...]:
     for the CLI) and leave naming the field to the caller.
     """
     try:
-        blocks = tuple(tuple(_as_integer(i, "index") for i in blk) for blk in partition)
+        blocks = tuple(
+            tuple(i if type(i) is int else _as_integer(i, "index") for i in blk) for blk in partition
+        )
     except TypeError as exc:
         raise ContractError(f"expected an iterable of index blocks ({exc})") from exc
     if not blocks or any(not blk for blk in blocks):
@@ -407,7 +417,7 @@ def _lueders(d: DensityMatrix, b: MeasurementBasis, blocks, p: Barycentric, i: i
     kets = b.kets[members]
     proj = kets.T @ kets.conj()
     m = proj @ d.entries @ proj
-    return k, members, DensityMatrix(m / float(np.trace(m).real))
+    return k, members, DensityMatrix(m / float(m.trace().real))
 
 
 def measure_degenerate(
@@ -522,12 +532,7 @@ def geometric_hit_count_oracle(
 
     The membership test never reads the ratio rule: it solves the
     embedded geometry, so a fault in either route shows as a
-    disagreement. Samples run in blocks of ``_CHUNK_ELEMS // N^2``, at
-    least ``_ORACLE_MIN_BLOCK``, with the sample axis last, so each
-    block's N x N coefficients take 512 KiB (2 MiB at N = 32) and every
-    reduction runs over a short leading axis. With one BLAS thread on a
-    2-core Xeon VM this solves 4000-7600, 1200-2100 and 55-95 ksamples/s
-    at N = 3, 8 and 32.
+    disagreement. Its blocks and its throughput are in the module docstring.
 
     ``simplex`` defaults to the canonical-basis simplex of the matching
     dimension; the statistics are affine-invariant, so any simplex of the

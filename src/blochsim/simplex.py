@@ -39,16 +39,15 @@ class MeasurementBasis:
     kets: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.kets, dtype=np.complex128)
+        k = np.array(self.kets, dtype=np.complex128, order="C")
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 2:
             raise DimensionError(f"basis must be N kets of length N (N >= 2), got shape {k.shape}")
         if not np.isfinite(k).all():
             raise BasisError("basis kets have non-finite entries")
         gram = k.conj() @ k.T
-        resid = float(np.max(np.abs(gram - np.eye(k.shape[0]))))
+        resid = float(np.abs(gram - np.eye(k.shape[0])).max())
         if not resid <= ALGEBRA_TOL:
             raise BasisError(f"basis is not orthonormal: max |<a_i|a_j> - delta_ij| = {resid:.3e}")
-        k = k.copy()
         k.setflags(write=False)
         object.__setattr__(self, "kets", k)
 
@@ -79,7 +78,7 @@ class Barycentric:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64, order="C")
         if w.ndim != 1 or w.size < 2:
             raise DimensionError(f"barycentric weights must be a vector of length >= 2, got shape {w.shape}")
         total = float(w.sum())
@@ -88,7 +87,6 @@ class Barycentric:
         low = float(w.min())
         if not low >= -BOUNDARY_TOL:
             raise ContractError(f"barycentric weight {low!r} below -{BOUNDARY_TOL}")
-        w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -130,7 +128,7 @@ class MeasurementSimplex:
 
     def __post_init__(self):
         for name in ("vertices", "centroid", "frame"):
-            a = np.asarray(getattr(self, name), dtype=np.float64).copy()
+            a = np.array(getattr(self, name), dtype=np.float64, order="C")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -249,7 +247,7 @@ def born_probabilities(d: DensityMatrix, b: MeasurementBasis) -> Barycentric:
     if d.dim != b.dim:
         raise DimensionError(f"state has dim {d.dim} but basis has dim {b.dim}")
     p = np.einsum("ij,jk,ik->i", b.kets.conj(), d.entries, b.kets)
-    imag = float(np.max(np.abs(p.imag)))
+    imag = float(np.abs(p.imag).max())
     bound = d.dim * ALGEBRA_TOL
     if not imag <= bound:
         raise ContractError(f"<a_i|D|a_i> has imaginary residual {imag:.3e} > {bound:.3e}")

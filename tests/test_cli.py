@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blochsim
 from blochsim import ConfigError, ContractError, validate_partition
 from blochsim.cli import main, parse_config, run_experiment
 
@@ -312,10 +314,15 @@ class TestMain:
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(MINIMAL)
+        # the child imports the same package as this process, installed or not
+        src = str(Path(blochsim.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))}
         proc = subprocess.run(
             [sys.executable, "-m", "blochsim", "--config", str(path), "--trials", "50"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)

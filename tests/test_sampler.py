@@ -49,6 +49,13 @@ class TestRngSeed:
         b = RngSeed(99, stream=1).generator().exponential(size=8)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (99, 2), (2**64 - 1, 7)])
+    def test_generator_is_default_rng_of_the_spawned_seed_sequence(self, seed, stream):
+        ours = RngSeed(seed, stream).generator()
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+        np.testing.assert_array_equal(ours.standard_exponential(64), ref.standard_exponential(64))
+        np.testing.assert_array_equal(ours.random(8), ref.random(8))
+
     def test_seed_range_enforced(self):
         with pytest.raises(ContractError):
             RngSeed(-1)
@@ -93,6 +100,14 @@ class TestSampleLambda:
     def test_rejects_dim_one(self):
         with pytest.raises(DimensionError):
             sample_lambda(1, RngSeed(0).generator())
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_matches_a_row_of_the_block_sampler_bit_for_bit(self, n):
+        # the block sampler is the reference: same draws, same quotients
+        shot, block = RngSeed(n).generator(), RngSeed(n).generator()
+        for _ in range(500):
+            lam = sample_lambda(n, shot).weights
+            np.testing.assert_array_equal(lam, next(sampler._lambda_rows(n, 1, block))[0])
 
 
 class TestClassify:
@@ -282,6 +297,33 @@ class TestRunTrials:
         report = make(counts)
         assert counts.flags.writeable and not report.counts.flags.writeable
         assert not np.shares_memory(counts, report.counts)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TrialReport(3, Barycentric([0.5, 0.5]), [5, -2]),
+            lambda: OracleReport(3, [5, -2], ties=0, disagreements=0),
+            lambda: OracleReport(3, [[1, 2]], ties=0, disagreements=0),
+            lambda: OracleReport(0, [], ties=0, disagreements=0),
+            lambda: OracleReport(3, [1, 2], ties=-5, disagreements=0),
+            lambda: OracleReport(3, [1, 2], ties=0, disagreements=-1),
+            lambda: OracleReport(3, [1, 2], ties=0, disagreements=7),
+            lambda: OracleReport(3, [1, 2], ties=4, disagreements=0),
+        ],
+        ids=[
+            "trial-negative-count",
+            "oracle-negative-count",
+            "oracle-2d-counts",
+            "oracle-empty-counts",
+            "oracle-negative-ties",
+            "oracle-negative-disagreements",
+            "oracle-disagreements-above-samples",
+            "oracle-ties-above-samples",
+        ],
+    )
+    def test_reports_reject_impossible_counts(self, make):
+        with pytest.raises(ContractError):
+            make()
 
     @pytest.mark.parametrize("n", [2, 32])
     def test_peak_memory_stays_within_two_blocks(self, n):
