@@ -26,20 +26,26 @@ re-derives membership by brute-force convex-coefficient solves over the
 embedded vertices and is kept as an independent cross-check, never
 replaced by the shortcut.
 
-The oracle's solve. Each sample is embedded once, x = lambda . V, and
-taken to frame coordinates y = frame . (x - centroid) with one off-hull
-residual; the coefficients of all N regions then come from one product
-of [y; 1] with the N stacked inverses of the square systems
+The oracle's solve. The vertices are taken once to frame coordinates,
+vert_y = frame . (V^T - centroid). Because sum(lambda) = 1, a sample's
+frame coordinates frame . (lambda . V - centroid) are then vert_y . lambda,
+one (N-1) x N product per sample, never a trip through R^(N^2 - 1). The
+frame must span the simplex's affine hull, and that is checked once per
+simplex, before any draw: a sample is a convex combination of the
+vertices, so its distance off the frame's span is at most the largest
+vertex's. The coefficients of all N regions come from one product of
+[y; 1] with the N stacked inverses of the square systems
 [frame . (n_j - centroid), j != i | frame . (r_par - centroid); 1], each
 checked by its back-substitution residual. It works in blocks of
 ``_CHUNK_ELEMS // N^2`` samples, at least ``_ORACLE_MIN_BLOCK`` = 256,
-sample axis last: a block's coefficients take 512 KiB up to N = 16 and
-2 MiB at N = 32, and the traced peak of a run is 2.8, 2.3 and 7.2 MiB
-at N = 3, 8 and 32. The ratio rule enters only afterwards, as the route
-the oracle is compared with, and its argmin and tie gap come from a
-sweep over the columns of ``_ratios``. With one BLAS thread on a 2-core
-Xeon VM the oracle solves 4000-7600, 1200-2100 and 55-95 ksamples/s at
-N = 3, 8 and 32 (the range is the host's load), 3, 6 and 15 times the
+sample axis last, in two reused slabs, the coefficients and the
+back-substitution: a slab takes 512 KiB up to N = 16 and 2 MiB at
+N = 32, and the traced peak of a run is 2.5, 1.8 and 5.5 MiB at N = 3,
+8 and 32. The ratio rule enters only afterwards, as the route the oracle
+is compared with, and its argmin and tie gap come from a sweep over the
+columns of ``_ratios``. With one BLAS thread on a 2-core Xeon VM the
+oracle solves 5300-7900, 1700-2700 and 95-140 ksamples/s at N = 3, 8
+and 32 (the range is the host's load), about 5, 8 and 30 times the
 per-region pseudo-inverse solve it replaced.
 
 The exponential race. A uniform lambda is b = E / sum_k E_k with the
@@ -133,6 +139,14 @@ def _as_integer(value, what: str) -> int:
         raise ContractError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _trial_count(value, what: str) -> int:
+    """``value`` as an int of at least one: a number of trials or samples."""
+    value = _as_integer(value, what)
+    if value < 1:
+        raise ContractError(f"{what} must be >= 1, got {value}")
+    return value
+
+
 def _tallies(counts, total: int, what: str) -> np.ndarray:
     """Read-only int64 ``counts``: a vector of nonnegative tallies summing to ``total``."""
     c = np.array(counts, dtype=np.int64)
@@ -182,7 +196,8 @@ class TrialReport:
     ``empirical_freqs`` is counts / n_trials, ``chi_square`` is computed
     against the exact probabilities over the entries with positive
     probability, and ``max_abs_deviation`` is the largest
-    |frequency - probability| over all entries.
+    |frequency - probability| over all entries. ``n_trials`` is an int of
+    at least one (not a bool or a float), so no statistic divides 0 / 0.
     """
 
     n_trials: int
@@ -190,6 +205,7 @@ class TrialReport:
     counts: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_trials", _trial_count(self.n_trials, "n_trials"))
         if np.shape(self.counts) != (self.exact_probs.dim,):
             raise DimensionError("counts do not match the probability vector")
         object.__setattr__(self, "counts", _tallies(self.counts, self.n_trials, "counts"))
@@ -219,6 +235,8 @@ class OracleReport:
     counts non-tie samples where the membership solve and the
     ratio-argmin rule picked different regions (always 0 unless the
     geometry is buggy). ``fractions`` and ``agreements`` are derived.
+    ``n_samples``, ``ties`` and ``disagreements`` are ints (not bools or
+    floats), ``n_samples`` at least one and the other two in 0..n_samples.
     """
 
     n_samples: int
@@ -235,6 +253,9 @@ class OracleReport:
         return self.n_samples - self.disagreements
 
     def __post_init__(self):
+        object.__setattr__(self, "n_samples", _trial_count(self.n_samples, "n_samples"))
+        object.__setattr__(self, "ties", _as_integer(self.ties, "ties"))
+        object.__setattr__(self, "disagreements", _as_integer(self.disagreements, "disagreements"))
         if not (0 <= self.ties <= self.n_samples and 0 <= self.disagreements <= self.n_samples):
             raise ContractError(f"oracle ties and disagreements must lie in 0..{self.n_samples}")
         object.__setattr__(self, "counts", _tallies(self.counts, self.n_samples, "oracle counts"))
@@ -455,9 +476,7 @@ def run_trials(
     partition of singletons consumes the identical sample stream and
     therefore reproduces the non-degenerate tallies exactly.
     """
-    n_trials = _as_integer(n_trials, "n_trials")
-    if n_trials < 1:
-        raise ContractError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = _trial_count(n_trials, "n_trials")
     p = born_probabilities(d, b)
     pw = p.weights
     k = d.dim
@@ -512,23 +531,26 @@ def geometric_hit_count_oracle(
 ) -> OracleReport:
     """Brute-force hit counts over the sub-regions, bypassing the argmin rule.
 
-    Each uniform lambda is embedded in Bloch space, x = lambda . V, and
+    Each uniform lambda, the point x = lambda . V of Bloch space, is
     tested against every candidate region A_i by solving for its convex
     coefficients over that region's actual vertex set
     {n_j : j != i} union {r_par}. The solve runs in the simplex's own
-    frame: y = frame . (x - centroid), with the off-hull residual
-    ||x - centroid - frame^T y|| checked once per sample, and the
+    frame: y = frame . (x - centroid), which is vert_y . lambda with
+    vert_y the vertices' frame coordinates, since lambda sums to 1. The
     coefficients of region i are S_i^-1 [y; 1] with S_i the square
     system [frame . (n_j - centroid) (j != i) | frame . (r_par - centroid); 1].
     All N inverses are stacked into one product, and the back-substitution
     residual |S_i c - [y; 1]| is checked per sample and region. A region
-    accepts when all its coefficients are >= -1e-10 and both residuals are
+    accepts when all its coefficients are >= -1e-10 and its residual is
     within 1e-9. Exactly one region must accept away from boundaries;
     zero acceptances, or two regions claiming the sample strictly (beyond
     the tie band), raise OracleInconsistencyError. So does a frame that
-    does not span the simplex's affine hull. The same lambda stream is
-    also classified with the production argmin rule and disagreements
-    outside the tie band are counted.
+    does not span the simplex's affine hull: the largest off-hull residual
+    ||n_j - centroid - frame^T frame (n_j - centroid)|| of a vertex must
+    be within 1e-9, checked once before any draw, as it bounds that of
+    every sample, a convex combination of the vertices. The same lambda
+    stream is also classified with the production argmin rule and
+    disagreements outside the tie band are counted.
 
     The membership test never reads the ratio rule: it solves the
     embedded geometry, so a fault in either route shows as a
@@ -538,9 +560,7 @@ def geometric_hit_count_oracle(
     dimension; the statistics are affine-invariant, so any simplex of the
     right dimension gives the same law.
     """
-    n_samples = _as_integer(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ContractError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _trial_count(n_samples, "n_samples")
     pw = rpar.weights
     if not float(pw.min()) > BOUNDARY_TOL:
         raise GeometryError("oracle requires r_par strictly inside the simplex")
@@ -550,8 +570,9 @@ def geometric_hit_count_oracle(
     if simplex.dim != n:
         raise DimensionError(f"simplex has dim {simplex.dim} but rpar has dim {n}")
 
-    verts, centroid, frame = simplex.vertices, simplex.centroid[:, None], simplex.frame
-    vert_y = frame @ (verts.T - centroid)
+    verts, frame = simplex.vertices, simplex.frame
+    dev = verts.T - simplex.centroid[:, None]
+    vert_y = frame @ dev
     par_y = frame @ (pw @ verts - simplex.centroid)
     systems = np.ones((n, n, n))
     for i in range(n):
@@ -563,25 +584,26 @@ def geometric_hit_count_oracle(
         raise OracleInconsistencyError(
             "a region system is singular; geometry is inconsistent"
         ) from None
+    # each sample is a convex combination of the vertices, so it lies no
+    # farther off the frame's span than the farthest vertex
+    if not np.linalg.norm(dev - frame.T @ vert_y, axis=0).max() <= HULL_TOL:
+        raise OracleInconsistencyError("frame does not span the simplex; geometry is inconsistent")
 
     counts = np.zeros(n, dtype=np.int64)
     ties = 0
     disagreements = 0
     block = _oracle_block(n)
-    # three reused slabs: embedded points and coefficients, the hull
-    # projection and the back-substitution, the right-hand sides
-    slabs = np.empty((3, n * n * min(block, n_samples)))
-    k = verts.shape[1]
+    # two reused slabs, the coefficients and the back-substitution, and
+    # the right-hand sides [y; 1]
+    slabs = np.empty((2, n * n * min(block, n_samples)))
+    rhs = np.empty(n * min(block, n_samples))
     for rows in _lambda_rows(n, n_samples, rng):
         for lam in np.split(rows, range(block, rows.shape[0], block)):
             m = lam.shape[0]
-            dev = np.matmul(verts.T, lam.T, out=slabs[0, : k * m].reshape(k, m))
-            dev -= centroid
-            y_aug = slabs[2, : n * m].reshape(n, m)
+            # sum(lambda) = 1, so frame . (lambda . V - centroid) = vert_y . lambda
+            y_aug = rhs[: n * m].reshape(n, m)
             y_aug[-1] = 1.0
-            y = np.matmul(frame, dev, out=y_aug[:-1])
-            dev -= np.matmul(frame.T, y, out=slabs[1, : k * m].reshape(k, m))
-            on_hull = np.sqrt(np.einsum("km,km->m", dev, dev)) <= HULL_TOL
+            np.matmul(vert_y, lam.T, out=y_aug[:-1])
 
             # [region, coefficient, sample]
             coeffs = np.matmul(inverses, y_aug, out=slabs[0, : n * n * m].reshape(n * n, m))
@@ -590,7 +612,7 @@ def geometric_hit_count_oracle(
             resid -= y_aug
             np.abs(resid, out=resid)
             min_coeff = coeffs.min(axis=1)
-            accept = (min_coeff >= -MEMBER_TOL) & (resid.max(axis=1) <= HULL_TOL) & on_hull
+            accept = (min_coeff >= -MEMBER_TOL) & (resid.max(axis=1) <= HULL_TOL)
 
             n_accept = np.count_nonzero(accept, axis=0)
             if np.any(n_accept == 0):

@@ -2,11 +2,14 @@
 
 ``geometric_hit_count_oracle`` solves each region's convex coefficients
 in the simplex's own frame, from stacked square inverses, a block of
-samples at a time. The reference below is the per-region pseudo-inverse
-solve over the embedded vertices that it replaced, kept verbatim: on
-the same lambda stream both must report identical counts, ties and
-disagreements. Unlike the reference, the oracle reads the simplex's
-frame, so a frame that does not span the affine hull must be an error.
+samples at a time; a sample's frame coordinates are the vertices' frame
+coordinates weighted by its barycentric lambda. The reference below is
+the per-region pseudo-inverse solve over the embedded vertices that it
+replaced, kept verbatim: on the same lambda stream both must report
+identical counts, ties and disagreements. Unlike the reference, the
+oracle reads the simplex's frame, so a frame that does not span the
+affine hull must be an error, raised once per simplex before any sample
+is drawn.
 """
 
 import tracemalloc
@@ -193,14 +196,20 @@ def test_boundary_points_match_the_pinv_oracle(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
-def test_frame_off_the_hull_is_inconsistent(n):
+def test_frame_off_the_hull_is_inconsistent(n, monkeypatch):
     rng = np.random.default_rng(n)
     s = basis_to_simplex(random_basis(rng, n))
     p = interior_weights(rng, n, 0.1)
     k = s.vertices.shape[1]
     rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
     rotated = MeasurementSimplex(n, s.vertices, s.centroid, s.frame @ rotation, s.total_measure)
-    with pytest.raises(OracleInconsistencyError):
+
+    def no_draws(*args):
+        raise AssertionError("drew samples for an inconsistent simplex")
+
+    # the vertices bound every sample's distance off the hull: one check, before any draw
+    with monkeypatch.context() as m, pytest.raises(OracleInconsistencyError, match="span"):
+        m.setattr(sampler, "_lambda_rows", no_draws)
         geometric_hit_count_oracle(p, 1000, RngSeed(n).generator(), rotated)
     # a rotation inside the hull spans the same directions: same counts
     turn = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
@@ -233,8 +242,8 @@ def test_classify_agrees_with_the_oracle_inside(n, p_min_exp, seed):
 
 
 #: tracemalloc bound per N. At N = 32 the 256-sample floor of the block
-#: holds it: three slabs of 32^2 x 256 floats take 6 MiB.
-PEAK_MIB = {3: 3, 8: 3, 32: 8}
+#: holds it: two slabs of 32^2 x 256 floats take 4 MiB.
+PEAK_MIB = {3: 3, 8: 3, 32: 6}
 
 
 @pytest.mark.parametrize("n, count", [(3, 100_000), (8, 30_000), (32, 2_000)])

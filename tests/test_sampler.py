@@ -309,6 +309,13 @@ class TestRunTrials:
             lambda: OracleReport(3, [1, 2], ties=0, disagreements=-1),
             lambda: OracleReport(3, [1, 2], ties=0, disagreements=7),
             lambda: OracleReport(3, [1, 2], ties=4, disagreements=0),
+            lambda: TrialReport(0, Barycentric([0.5, 0.5]), [0, 0]),
+            lambda: OracleReport(0, [0, 0], ties=0, disagreements=0),
+            lambda: TrialReport(True, Barycentric([0.5, 0.5]), [1, 0]),
+            lambda: TrialReport(2.0, Barycentric([0.5, 0.5]), [1, 1]),
+            lambda: OracleReport(2.0, [1, 1], ties=0, disagreements=0),
+            lambda: OracleReport(2, [1, 1], ties=0.5, disagreements=0),
+            lambda: OracleReport(2, [1, 1], ties=0, disagreements=True),
         ],
         ids=[
             "trial-negative-count",
@@ -319,6 +326,13 @@ class TestRunTrials:
             "oracle-negative-disagreements",
             "oracle-disagreements-above-samples",
             "oracle-ties-above-samples",
+            "trial-zero-trials",
+            "oracle-zero-samples",
+            "trial-bool-trials",
+            "trial-float-trials",
+            "oracle-float-samples",
+            "oracle-float-ties",
+            "oracle-bool-disagreements",
         ],
     )
     def test_reports_reject_impossible_counts(self, make):
