@@ -20,11 +20,13 @@ p_j >= 1/N, so such outcomes are never selected and their frequency is
 exactly zero. Its column is divided by 1.0 before the +inf is written,
 never by 0, so an exact 0.0 draw cannot form the NaN of 0/0. This O(N)
 rule is the production path and is written once, in ``_ratios``;
-:func:`classify`, :func:`run_trials` and the oracle's comparison all
-take the argmin of its full-width output. :func:`geometric_hit_count_oracle`
-re-derives membership by brute-force convex-coefficient solves over the
-embedded vertices and is kept as an independent cross-check, never
-replaced by the shortcut.
+:func:`classify`, the oracle's comparison and :func:`run_trials` on a
+large support take the argmin of its full-width output. On a small
+support :func:`run_trials` races the same quotients column by column and
+never reads a zero-weight column, whose +inf could not win anyway.
+:func:`geometric_hit_count_oracle` re-derives membership by brute-force
+convex-coefficient solves over the embedded vertices and is kept as an
+independent cross-check, never replaced by the shortcut.
 
 The oracle's solve. The vertices are taken once to frame coordinates,
 vert_y = frame . (V^T - centroid). Because sum(lambda) = 1, a sample's
@@ -59,35 +61,47 @@ with rate p_i is the smallest with probability p_i / sum_j p_j = p_i
 exactly. All draws come from one stream of exponentials,
 ``_exponential_rows``, filled into one reused buffer of
 ``_CHUNK_ELEMS`` = 2^16 elements; the values do not depend on the
-chunking. :func:`run_trials` tiles the divisors (p, zero weights
-replaced by 1.0) once per call over at most one block of rows and
-divides each block in place as one flat loop: the same IEEE quotients
-as ``E / p``, element by element, without its per-block temporary and
-without the broadcast, which runs one inner loop of length N per row
-(0.31 against 0.06 ms per block at N = 2). The buffer and the tile take
-512 KiB each, so the loop's working set fits the 2 MiB L2 of one core
-of a 2-core Xeon VM, which the 4 MiB of two 2^18-element arrays did
-not, and a run of any length peaks near 1 MiB (tracemalloc).
+chunking. :func:`run_trials` finds the support sup = {j : p_j > 0} once
+per call. A vertex state (one outcome of positive weight) has nothing to
+break: the only finite ratio wins every row, so :func:`run_trials`
+counts every trial for that outcome and builds no generator. Below
+``_RACE_BELOW_SUPPORT`` = 22 support columns it races them one column at
+a time (the tally, below). From there on it tiles the divisors (p, zero
+weights replaced by 1.0) once per call over at most one block of rows
+and divides each block in place as one flat loop: the same IEEE
+quotients as ``E / p``, element by element, without its per-block
+temporary and without the broadcast, which runs one inner loop of length
+N per row (0.08-0.09 against 0.06 ms per block at N = 16-32). The buffer
+and the tile take 512 KiB each, the race's two ratio columns at most
+half as much each, so the loop's working set fits the 2 MiB L2 of one core of
+a 2-core Xeon VM and a run of any length peaks near 1 MiB (tracemalloc).
 ``_lambda_rows`` normalises those rows in place for the oracle, and
 :func:`sample_lambda` one row of its own, drawn in one call.
 Skipping the normalisation can change an outcome only where two ratios
 of a row agree to within one rounding step.
 
-The tally. Below ``_SWEEP_BELOW_N`` = 16 outcomes, :func:`run_trials`
-counts each block's winners without a per-row argmin: one sweep over
-the columns sets mask_j where column j is below the running minimum of
-the columns before it, a row's winner is its last j with mask_j set (the
-first index attaining the minimum), and c_j = #(mask_j and no later
-mask), c_0 = rows - sum. From N = 16 on, ``bincount(argmin(axis=1))``
-is as fast. Per 2^16-element block on a 2-core Xeon VM, mask sweep
-against argmin + bincount: 0.07 vs 0.50 ms at N = 2, 0.10 vs 0.46 at
-N = 3, 0.12 vs 0.38 at N = 4, 0.15 vs 0.31 at N = 6, 0.17 vs 0.28 at
-N = 8 and 0.20 vs 0.22 at N = 12; the exponential fill of the block
-takes 0.35-0.55 ms at every N. On a block already in cache the two
-meet near N = 14; inside :func:`run_trials`, where the threshold
-applies, they meet at N = 16: the median rate ratio sweep/argmin over
-21-31 alternating runs of 10^6 trials was 1.18 at N = 8, 1.11 at 12,
-1.07-1.08 at 14, 1.04-1.05 at 15, 1.02-1.04 at 16 and 0.98-0.99 at 17.
+The tally. Below ``_RACE_BELOW_SUPPORT`` support columns,
+:func:`run_trials` counts each block's winners without a per-row argmin
+and never divides, writes or reads a zero-weight column. It takes the
+support columns sup[0] < sup[1] < ... in turn, divides each by its
+scalar weight into a reused contiguous buffer (the tile's IEEE
+quotient), and sets mask_i where column sup[i] is below the running
+minimum of the columns before it. A row's winner is its last i with
+mask_i set (the first index attaining the minimum), so
+c_i = #(mask_i and no later mask) and c_sup[0] = rows - sum. The race
+reads each support column at stride N, so its cost grows with the
+support, while that of ``bincount(argmin(axis=1))`` over the divided
+block does not. Per 2^16-element block, just filled, on a 2-core Xeon
+VM, race against tile divide + argmin + bincount: 0.07 vs 0.55 ms at
+N = 2, 0.10 vs 0.57 at N = 3, 0.19 vs 0.47 at N = 8, 0.07 vs 0.34 at
+N = 8 with 4 support columns; at N = 32, 0.08 vs 0.28 with 8, 0.15 vs
+0.27 with 16, 0.19 vs 0.23 with 21 and 0.37 vs 0.21 with all 32. The
+exponential fill of the block takes 0.34-0.62 ms at every N. Inside
+:func:`run_trials` at N = 32 the two meet between 21 and 22 support
+columns: the median time ratio argmin/race over 11 alternating runs of
+5 10^5 trials was 1.28 with 12, 1.18 with 14, 1.05-1.14 with 16-19,
+1.03-1.08 with 20, 1.03-1.05 with 21, 0.98-1.01 with 22, 0.98 with 23
+and 0.96-0.97 with 24.
 
 Ties (boundary lambdas, measure zero) break to the smallest index.
 
@@ -114,8 +128,9 @@ from .simplex import (
 from .tolerances import BOUNDARY_TOL, HULL_TOL, MEMBER_TOL, TIE_BAND
 
 #: Elements (not rows) per block of exponential draws: 512 KiB of float64.
-#: The trial loop holds the block and a divisor tile of the same size, so
-#: its working set (1 MiB) fits the 2 MiB L2 of one core at every N.
+#: The trial loop holds the block and either a divisor tile of the same
+#: size or two ratio columns of at most half its size, so its working set (1 MiB)
+#: fits the 2 MiB L2 of one core at every N.
 _CHUNK_ELEMS = 1 << 16
 
 #: Fewest samples per oracle block. At N = 32, ``_CHUNK_ELEMS // N^2``
@@ -124,9 +139,10 @@ _CHUNK_ELEMS = 1 << 16
 #: the block of the 2^18-element chunking at N = 32.
 _ORACLE_MIN_BLOCK = 256
 
-#: :func:`run_trials` tallies its winners by a sweep of masks below this
-#: many outcomes, by argmin and bincount from it on (see the module docstring).
-_SWEEP_BELOW_N = 16
+#: :func:`run_trials` races the support columns one at a time below this
+#: many outcomes of positive Born weight, and divides the whole block and
+#: tallies its argmin from it on (see the module docstring).
+_RACE_BELOW_SUPPORT = 22
 
 
 def _as_integer(value, what: str) -> int:
@@ -197,7 +213,8 @@ class TrialReport:
     against the exact probabilities over the entries with positive
     probability, and ``max_abs_deviation`` is the largest
     |frequency - probability| over all entries. ``n_trials`` is an int of
-    at least one (not a bool or a float), so no statistic divides 0 / 0.
+    at least one (not a bool or a float), so no statistic divides 0 / 0,
+    and an entry of probability 0 has count 0, as no run can hit it.
     """
 
     n_trials: int
@@ -209,6 +226,8 @@ class TrialReport:
         if np.shape(self.counts) != (self.exact_probs.dim,):
             raise DimensionError("counts do not match the probability vector")
         object.__setattr__(self, "counts", _tallies(self.counts, self.n_trials, "counts"))
+        if self.counts[self.exact_probs.weights == 0.0].any():
+            raise ContractError(f"counts on zero-probability entries: {self.counts.tolist()}")
 
     @property
     def empirical_freqs(self) -> np.ndarray:
@@ -323,31 +342,38 @@ def _divisors(p: np.ndarray, rows: int) -> np.ndarray:
     return np.tile(np.where(p > 0.0, p, 1.0), rows)
 
 
-def _tally(ratios: np.ndarray, counts: np.ndarray) -> None:
-    """Add each row's argmin (ties to the smallest index) to ``counts``.
+def _column_race(blocks, p: np.ndarray, sup: np.ndarray, rows: int, counts: np.ndarray) -> None:
+    """Add each row's argmin of E_j / p_j (ties to the smallest index) to
+    ``counts``, racing the support columns ``sup`` (at least two) one at a time.
 
-    Below ``_SWEEP_BELOW_N`` columns by the sweep of masks of the module
-    docstring: a row's winner is its last j with mask_j set, 0 if none.
+    Every block of ``blocks`` has at most ``rows`` rows. Column sup[i] is
+    divided by its scalar weight into a contiguous buffer; mask_i is set
+    where it is below the running minimum of the columns before it, a
+    row's winner is its last i with mask_i set, sup[0] if none.
     """
-    m, n = ratios.shape
-    if n >= _SWEEP_BELOW_N:
-        counts += np.bincount(np.argmin(ratios, axis=1), minlength=n)
-        return
-    masks = np.empty((n, m), dtype=bool)  # row 0 unused
-    running = ratios[:, 0].copy()
-    for j in range(1, n):
-        col = ratios[:, j]
-        np.less(col, running, out=masks[j])
-        if j < n - 1:
-            np.minimum(running, col, out=running)
-    later = np.zeros(m, dtype=bool)
-    won = 0
-    for j in range(n - 1, 0, -1):
-        c = np.count_nonzero(masks[j] > later)  # mask_j and no later mask
-        counts[j] += c
-        won += c
-        later |= masks[j]
-    counts[0] += m - won
+    s = sup.size
+    cols = sup.tolist()
+    weights = p[sup].tolist()
+    ratios = np.empty((2, rows))
+    masks = np.empty((s, rows), dtype=bool)  # row 0 unused
+    for draws in blocks:
+        m = draws.shape[0]
+        running = np.divide(draws[:, cols[0]], weights[0], out=ratios[0, :m])
+        col = ratios[1, :m]
+        for i in range(1, s):
+            np.divide(draws[:, cols[i]], weights[i], out=col)
+            np.less(col, running, out=masks[i, :m])
+            if i < s - 1:
+                np.minimum(running, col, out=running)
+        later = masks[s - 1, :m]  # set where a mask after i is set
+        won = np.count_nonzero(later)
+        counts[cols[-1]] += won
+        for i in range(s - 2, 0, -1):
+            c = np.count_nonzero(masks[i, :m] > later)  # mask_i and no later mask
+            counts[cols[i]] += c
+            won += c
+            later |= masks[i, :m]
+        counts[cols[0]] += m - won
 
 
 def sample_lambda(n: int, rng: np.random.Generator) -> Barycentric:
@@ -474,7 +500,8 @@ def run_trials(
 
     With a partition the outcomes are tallied per fused class; a
     partition of singletons consumes the identical sample stream and
-    therefore reproduces the non-degenerate tallies exactly.
+    therefore reproduces the non-degenerate tallies exactly. A vertex
+    state (one outcome of positive weight) draws nothing.
     """
     n_trials = _trial_count(n_trials, "n_trials")
     p = born_probabilities(d, b)
@@ -483,9 +510,16 @@ def run_trials(
     blocks = None if partition is None else validate_partition(partition, k)
 
     counts = np.zeros(k, dtype=np.int64)
-    divisors = _divisors(pw, min(n_trials, _block_rows(k)))
-    for draws in _exponential_rows(k, n_trials, seed.generator()):
-        _tally(_ratios(draws, pw, divisors), counts)
+    sup = np.flatnonzero(pw > 0.0)
+    rows = min(n_trials, _block_rows(k))
+    if sup.size == 1:  # a vertex: its ratio alone is finite, nothing to draw
+        counts[sup[0]] = n_trials
+    elif sup.size < _RACE_BELOW_SUPPORT:
+        _column_race(_exponential_rows(k, n_trials, seed.generator()), pw, sup, rows, counts)
+    else:
+        divisors = _divisors(pw, rows)
+        for draws in _exponential_rows(k, n_trials, seed.generator()):
+            counts += np.bincount(np.argmin(_ratios(draws, pw, divisors), axis=1), minlength=k)
 
     if blocks is None:
         return TrialReport(n_trials, p, counts)

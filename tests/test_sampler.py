@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -278,11 +279,23 @@ class TestRunTrials:
 
     def test_malformed_partition_rejected_before_any_draw(self, monkeypatch):
         def no_draws(*args):
-            raise AssertionError("drew trials for a malformed partition")
+            raise AssertionError("built a generator or drew trials")
 
         monkeypatch.setattr(sampler, "_exponential_rows", no_draws)
+        monkeypatch.setattr(RngSeed, "generator", no_draws)
         with pytest.raises(ContractError, match="partition: duplicate index 0"):
             run_trials(standard_state_3(), B3, 10**7, RngSeed(1), partition=[[0], [0]])
+
+        # a vertex state has one outcome of positive weight: nothing to draw
+        for n, i in ((2, 1), (3, 0), (32, 17)):
+            d = DensityMatrix(np.diag(np.eye(n)[i]).astype(complex))
+            b = MeasurementBasis.canonical(n)
+            np.testing.assert_array_equal(born_probabilities(d, b).weights, np.eye(n)[i])
+            report = run_trials(d, b, 10**7 + 1, RngSeed(1))
+            np.testing.assert_array_equal(report.counts, (10**7 + 1) * np.eye(n, dtype=np.int64)[i])
+            blocks = [list(range(n - 1, -1, -2)), list(range(n - 2, -1, -2))]
+            report = run_trials(d, b, 5, RngSeed(1), partition=blocks)
+            np.testing.assert_array_equal(report.counts, [5 * (i in blk) for blk in blocks])
 
     @pytest.mark.parametrize(
         "make",
@@ -316,6 +329,7 @@ class TestRunTrials:
             lambda: OracleReport(2.0, [1, 1], ties=0, disagreements=0),
             lambda: OracleReport(2, [1, 1], ties=0.5, disagreements=0),
             lambda: OracleReport(2, [1, 1], ties=0, disagreements=True),
+            lambda: TrialReport(10, Barycentric([1.0, 0.0]), [9, 1]),
         ],
         ids=[
             "trial-negative-count",
@@ -333,6 +347,7 @@ class TestRunTrials:
             "oracle-float-samples",
             "oracle-float-ties",
             "oracle-bool-disagreements",
+            "trial-count-on-zero-probability",
         ],
     )
     def test_reports_reject_impossible_counts(self, make):
@@ -341,17 +356,19 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("n", [2, 32])
     def test_peak_memory_stays_within_two_blocks(self, n):
-        # the reused draw buffer and the divisor tile, 512 KiB each
+        # the reused draw buffer (512 KiB) and, at n = 2, the two ratio
+        # columns of the race (256 KiB each), at n = 32 the divisor tile (512 KiB)
         p = np.arange(1, n + 1) / (n * (n + 1) / 2)
         d = DensityMatrix(np.diag(p).astype(complex))
         b = MeasurementBasis.canonical(n)
+        run_trials(d, b, 1, RngSeed(n))  # the modules numpy imports on a first draw
         tracemalloc.start()
         try:
             run_trials(d, b, 200_000, RngSeed(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 1.25 * 2**20
 
 
 def _normalising_rule(p: np.ndarray, n_trials: int, seed: RngSeed):
@@ -386,9 +403,9 @@ TRIALS = {
 }
 
 
-#: The tally threshold: N = SWEEP - 1 is the largest N the mask sweep
-#: tallies, N = SWEEP the smallest that argmin tallies.
-SWEEP = sampler._SWEEP_BELOW_N
+#: The tally threshold on the support size: RACE - 1 positive weights is
+#: the most the column race tallies, RACE the fewest that argmin tallies.
+RACE = sampler._RACE_BELOW_SUPPORT
 
 
 def _alternating_weights(n: int, zeros=()) -> np.ndarray:
@@ -403,9 +420,11 @@ class TestLeanKernel:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(p=_born_vectors(), trials=st.sampled_from(sorted(TRIALS)), seed=st.integers(0, 2**32))
-    @example(p=_alternating_weights(SWEEP - 1, zeros=[1]), trials="two-chunks+3", seed=7)
-    @example(p=np.full(SWEEP, 1 / SWEEP), trials="chunk+1", seed=8)
-    @example(p=_alternating_weights(SWEEP, zeros=[0, 2]), trials="two-chunks+3", seed=9)
+    @example(p=_alternating_weights(RACE - 1, zeros=[1]), trials="two-chunks+3", seed=7)
+    @example(p=np.full(RACE, 1 / RACE), trials="chunk+1", seed=8)
+    @example(p=_alternating_weights(RACE, zeros=[0, 2]), trials="two-chunks+3", seed=9)
+    @example(p=_alternating_weights(32, zeros=range(33 - RACE)), trials="chunk+1", seed=10)
+    @example(p=_alternating_weights(32, zeros=range(32 - RACE)), trials="two-chunks+3", seed=11)
     def test_counts_match_the_normalising_rule_across_a_chunk_boundary(self, p, trials, seed):
         n = p.size
         d = DensityMatrix(np.diag(p).astype(complex))
@@ -436,10 +455,17 @@ def _support_kernel(blocks, pw: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _dyadic_weights(rng, n: int, zeros: bool) -> np.ndarray:
-    """Born weights k_j / 256, so that (c p_j) / p_j == c exactly for c in 2^-6 Z."""
+def _dyadic_weights(rng, n: int, zeros) -> np.ndarray:
+    """Born weights k_j / 256, so that (c p_j) / p_j == c exactly for c in 2^-6 Z.
+
+    ``zeros`` is False (no zero weight), True (n // 3 of them) or the
+    number of positive weights.
+    """
     w = np.zeros(n)
-    sup = rng.permutation(n)[: max(1, n - n // 3)] if zeros else np.arange(n)
+    if zeros is False:
+        sup = np.arange(n)
+    else:
+        sup = rng.permutation(n)[: max(1, n - n // 3) if zeros is True else zeros]
     w[sup] = 1 + rng.multinomial(256 - sup.size, np.full(sup.size, 1 / sup.size))
     return w / 256
 
@@ -468,8 +494,14 @@ def _planted_rows(rng, p: np.ndarray, rows: int):
 class TestPlantedRows:
     """Exact ties and exact 0.0 draws, on both sides of the tally threshold."""
 
-    @pytest.mark.parametrize("zeros", [False, True])
-    @pytest.mark.parametrize("n", [2, 3, 7, 8, SWEEP - 1, SWEEP, 32])
+    @pytest.mark.parametrize(
+        "n, zeros",
+        [
+            *itertools.product([2, 3, 7, 8, 15, 16, 32], [False, True]),
+            (32, RACE - 1),
+            (32, RACE),
+        ],
+    )
     def test_ties_go_to_the_smallest_index_as_before(self, n, zeros, monkeypatch):
         rng = np.random.default_rng(100 * n + zeros)
         p = _dyadic_weights(rng, n, zeros)
