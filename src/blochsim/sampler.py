@@ -38,17 +38,19 @@ vertices, so its distance off the frame's span is at most the largest
 vertex's. The coefficients of all N regions come from one product of
 [y; 1] with the N stacked inverses of the square systems
 [frame . (n_j - centroid), j != i | frame . (r_par - centroid); 1], each
-checked by its back-substitution residual. It works in blocks of
+checked by its back-substitution residual. It draws blocks of
 ``_CHUNK_ELEMS // N^2`` samples, at least ``_ORACLE_MIN_BLOCK`` = 256,
-sample axis last, in two reused slabs, the coefficients and the
-back-substitution: a slab takes 512 KiB up to N = 16 and 2 MiB at
-N = 32, and the traced peak of a run is 2.5, 1.8 and 5.5 MiB at N = 3,
-8 and 32. The ratio rule enters only afterwards, as the route the oracle
-is compared with, and its argmin and tie gap come from a sweep over the
-columns of ``_ratios``. With one BLAS thread on a 2-core Xeon VM the
-oracle solves 5300-7900, 1700-2700 and 95-140 ksamples/s at N = 3, 8
-and 32 (the range is the host's load), about 5, 8 and 30 times the
-per-region pseudo-inverse solve it replaced.
+from ``_exponential_rows`` at that size (at most 256 KiB of draws, at
+N = 2) and normalises each in place. It solves a block sample axis last
+in two reused slabs, the coefficients and the back-substitution: a slab
+takes 512 KiB up to N = 16 and 2 MiB at N = 32, and the traced peak of
+a run is 2.2, 1.4 and 5.1 MiB at N = 3, 8 and 32. The ratio rule enters
+only afterwards, as the route the oracle is compared with, and its
+argmin and tie gap come from a sweep over the columns of ``_ratios``.
+With one BLAS thread on a 2-core Xeon VM the oracle solves 5300-7900,
+1700-2700 and 95-140 ksamples/s at N = 3, 8 and 32 (the range is the
+host's load), about 5, 8 and 30 times the per-region pseudo-inverse
+solve it replaced.
 
 The exponential race. A uniform lambda is b = E / sum_k E_k with the
 E_j i.i.d. unit-rate exponentials (the Dirichlet(1, ..., 1)
@@ -58,11 +60,12 @@ classifies the raw E_j / p_j and never normalises. E_j / p_j is
 exponential with rate p_j, and of independent exponentials the one
 with rate p_i is the smallest with probability p_i / sum_j p_j = p_i
 (the sum runs over the support): the race reproduces the Born weights
-exactly. All draws come from one stream of exponentials,
-``_exponential_rows``, filled into one reused buffer of
-``_CHUNK_ELEMS`` = 2^16 elements; the values do not depend on the
-chunking. :func:`run_trials` finds the support sup = {j : p_j > 0} once
-per call. A vertex state (one outcome of positive weight) has nothing to
+exactly. All draws come from one stream of exponentials and one block
+generator, ``_exponential_rows``, which fills one reused buffer of the
+caller's block size: ``_CHUNK_ELEMS`` = 2^16 elements for
+:func:`run_trials`, one oracle block for the oracle. The values do not
+depend on the chunking. :func:`run_trials` finds the support
+sup = {j : p_j > 0} once per call. A vertex state (one outcome of positive weight) has nothing to
 break: the only finite ratio wins every row, so :func:`run_trials`
 counts every trial for that outcome and builds no generator. Below
 ``_RACE_BELOW_SUPPORT`` = 22 support columns it races them one column at
@@ -75,8 +78,8 @@ N per row (0.08-0.09 against 0.06 ms per block at N = 16-32). The buffer
 and the tile take 512 KiB each, the race's two ratio columns at most
 half as much each, so the loop's working set fits the 2 MiB L2 of one core of
 a 2-core Xeon VM and a run of any length peaks near 1 MiB (tracemalloc).
-``_lambda_rows`` normalises those rows in place for the oracle, and
-:func:`sample_lambda` one row of its own, drawn in one call.
+The oracle normalises its blocks in place, and :func:`sample_lambda`
+one row of its own, drawn in one call.
 Skipping the normalisation can change an outcome only where two ratios
 of a row agree to within one rounding step.
 
@@ -214,7 +217,8 @@ class TrialReport:
     probability, and ``max_abs_deviation`` is the largest
     |frequency - probability| over all entries. ``n_trials`` is an int of
     at least one (not a bool or a float), so no statistic divides 0 / 0,
-    and an entry of probability 0 has count 0, as no run can hit it.
+    and an entry of probability 0 or below (a weight may round to -1e-12)
+    has count 0, as no run can hit it.
     """
 
     n_trials: int
@@ -226,7 +230,7 @@ class TrialReport:
         if np.shape(self.counts) != (self.exact_probs.dim,):
             raise DimensionError("counts do not match the probability vector")
         object.__setattr__(self, "counts", _tallies(self.counts, self.n_trials, "counts"))
-        if self.counts[self.exact_probs.weights == 0.0].any():
+        if self.counts[self.exact_probs.weights <= 0.0].any():
             raise ContractError(f"counts on zero-probability entries: {self.counts.tolist()}")
 
     @property
@@ -291,30 +295,18 @@ def _oracle_block(n: int) -> int:
     return max(_CHUNK_ELEMS // (n * n), _ORACLE_MIN_BLOCK)
 
 
-def _exponential_rows(n: int, count: int, rng: np.random.Generator):
-    """Yield ``count`` rows of n unit-rate exponentials as row blocks.
+def _exponential_rows(n: int, count: int, rng: np.random.Generator, rows: int):
+    """Yield ``count`` rows of n unit-rate exponentials in blocks of at most ``rows`` rows.
 
-    Every block is a view of one buffer that the next block overwrites;
-    at most :func:`_block_rows` rows per block. The
-    values are those of ``rng.exponential(size=(count, n))``.
+    The one generator of lambda blocks. Every block is a view of one
+    buffer that the next block overwrites. The values are those of
+    ``rng.exponential(size=(count, n))``, whatever ``rows`` is.
     """
-    rows = _block_rows(n)
     buf = np.empty((min(count, rows), n))
     while count > 0:
         m = min(count, rows)
         yield rng.standard_exponential(out=buf[:m])
         count -= m
-
-
-def _lambda_rows(n: int, count: int, rng: np.random.Generator):
-    """Yield ``count`` uniform points of the (n-1)-simplex as row blocks.
-
-    Each row of :func:`_exponential_rows` normalized by its sum, in place:
-    every block is a view of the buffer that the next block overwrites.
-    """
-    for draws in _exponential_rows(n, count, rng):
-        draws /= draws.sum(axis=1, keepdims=True)
-        yield draws
 
 
 def _ratios(lam: np.ndarray, p: np.ndarray, divisors: np.ndarray | None = None) -> np.ndarray:
@@ -380,7 +372,7 @@ def sample_lambda(n: int, rng: np.random.Generator) -> Barycentric:
     """One interaction point, Lebesgue-uniform on the (n-1)-simplex.
 
     One ``standard_exponential(n)`` call divided by its sum: the draws of
-    one row of a :func:`run_trials` block, normalised as ``_lambda_rows`` does.
+    one row of a :func:`run_trials` block, normalised as the oracle's blocks are.
     """
     if n < 2:
         raise DimensionError(f"simplex sampling needs n >= 2, got {n}")
@@ -515,10 +507,10 @@ def run_trials(
     if sup.size == 1:  # a vertex: its ratio alone is finite, nothing to draw
         counts[sup[0]] = n_trials
     elif sup.size < _RACE_BELOW_SUPPORT:
-        _column_race(_exponential_rows(k, n_trials, seed.generator()), pw, sup, rows, counts)
+        _column_race(_exponential_rows(k, n_trials, seed.generator(), rows), pw, sup, rows, counts)
     else:
         divisors = _divisors(pw, rows)
-        for draws in _exponential_rows(k, n_trials, seed.generator()):
+        for draws in _exponential_rows(k, n_trials, seed.generator(), rows):
             counts += np.bincount(np.argmin(_ratios(draws, pw, divisors), axis=1), minlength=k)
 
     if blocks is None:
@@ -626,46 +618,46 @@ def geometric_hit_count_oracle(
     counts = np.zeros(n, dtype=np.int64)
     ties = 0
     disagreements = 0
-    block = _oracle_block(n)
+    block = min(_oracle_block(n), n_samples)
     # two reused slabs, the coefficients and the back-substitution, and
     # the right-hand sides [y; 1]
-    slabs = np.empty((2, n * n * min(block, n_samples)))
-    rhs = np.empty(n * min(block, n_samples))
-    for rows in _lambda_rows(n, n_samples, rng):
-        for lam in np.split(rows, range(block, rows.shape[0], block)):
-            m = lam.shape[0]
-            # sum(lambda) = 1, so frame . (lambda . V - centroid) = vert_y . lambda
-            y_aug = rhs[: n * m].reshape(n, m)
-            y_aug[-1] = 1.0
-            np.matmul(vert_y, lam.T, out=y_aug[:-1])
+    slabs = np.empty((2, n * n * block))
+    rhs = np.empty(n * block)
+    for lam in _exponential_rows(n, n_samples, rng, block):
+        lam /= lam.sum(axis=1, keepdims=True)
+        m = lam.shape[0]
+        # sum(lambda) = 1, so frame . (lambda . V - centroid) = vert_y . lambda
+        y_aug = rhs[: n * m].reshape(n, m)
+        y_aug[-1] = 1.0
+        np.matmul(vert_y, lam.T, out=y_aug[:-1])
 
-            # [region, coefficient, sample]
-            coeffs = np.matmul(inverses, y_aug, out=slabs[0, : n * n * m].reshape(n * n, m))
-            coeffs = coeffs.reshape(n, n, m)
-            resid = np.matmul(systems, coeffs, out=slabs[1, : n * n * m].reshape(n, n, m))
-            resid -= y_aug
-            np.abs(resid, out=resid)
-            min_coeff = coeffs.min(axis=1)
-            accept = (min_coeff >= -MEMBER_TOL) & (resid.max(axis=1) <= HULL_TOL)
+        # [region, coefficient, sample]
+        coeffs = np.matmul(inverses, y_aug, out=slabs[0, : n * n * m].reshape(n * n, m))
+        coeffs = coeffs.reshape(n, n, m)
+        resid = np.matmul(systems, coeffs, out=slabs[1, : n * n * m].reshape(n, n, m))
+        resid -= y_aug
+        np.abs(resid, out=resid)
+        min_coeff = coeffs.min(axis=1)
+        accept = (min_coeff >= -MEMBER_TOL) & (resid.max(axis=1) <= HULL_TOL)
 
-            n_accept = np.count_nonzero(accept, axis=0)
-            if np.any(n_accept == 0):
-                raise OracleInconsistencyError(
-                    "a sample point was claimed by no region; geometry is inconsistent"
-                )
-            strict = accept & (min_coeff > TIE_BAND)
-            if np.any(np.count_nonzero(strict, axis=0) > 1):
-                raise OracleInconsistencyError(
-                    "a sample point was claimed strictly by several regions; "
-                    "geometry is inconsistent"
-                )
-            member = np.argmax(accept, axis=0)
+        n_accept = np.count_nonzero(accept, axis=0)
+        if np.any(n_accept == 0):
+            raise OracleInconsistencyError(
+                "a sample point was claimed by no region; geometry is inconsistent"
+            )
+        strict = accept & (min_coeff > TIE_BAND)
+        if np.any(np.count_nonzero(strict, axis=0) > 1):
+            raise OracleInconsistencyError(
+                "a sample point was claimed strictly by several regions; "
+                "geometry is inconsistent"
+            )
+        member = np.argmax(accept, axis=0)
 
-            argmin, gap = _argmin_and_gap(_ratios(lam, pw))
-            tie_rows = (n_accept > 1) | (gap <= TIE_BAND)
+        argmin, gap = _argmin_and_gap(_ratios(lam, pw))
+        tie_rows = (n_accept > 1) | (gap <= TIE_BAND)
 
-            counts += np.bincount(member, minlength=n)
-            ties += int(np.count_nonzero(tie_rows))
-            disagreements += int(np.count_nonzero(~tie_rows & (member != argmin)))
+        counts += np.bincount(member, minlength=n)
+        ties += int(np.count_nonzero(tie_rows))
+        disagreements += int(np.count_nonzero(~tie_rows & (member != argmin)))
 
     return OracleReport(n_samples, counts, ties, disagreements)

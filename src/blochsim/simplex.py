@@ -72,15 +72,16 @@ class Barycentric:
     """Convex weights over the N simplex vertices: each >= -1e-12, sum 1.
 
     Doubles as a probability vector (Born weights) and as the coordinates
-    of points on the simplex.
+    of points on the simplex. A single weight is the 0-simplex, a point:
+    the one class of a one-block partition.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64, order="C")
-        if w.ndim != 1 or w.size < 2:
-            raise DimensionError(f"barycentric weights must be a vector of length >= 2, got shape {w.shape}")
+        if w.ndim != 1 or w.size < 1:
+            raise DimensionError(f"barycentric weights must be a nonempty vector, got shape {w.shape}")
         total = float(w.sum())
         if not abs(total - 1.0) <= ALGEBRA_TOL:
             raise ContractError(f"barycentric weights sum to {total!r}, expected 1")

@@ -104,11 +104,14 @@ class TestSampleLambda:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
     def test_matches_a_row_of_the_block_sampler_bit_for_bit(self, n):
-        # the block sampler is the reference: same draws, same quotients
+        # the block sampler, normalised as the oracle does it, is the
+        # reference: same draws, same quotients
         shot, block = RngSeed(n).generator(), RngSeed(n).generator()
         for _ in range(500):
             lam = sample_lambda(n, shot).weights
-            np.testing.assert_array_equal(lam, next(sampler._lambda_rows(n, 1, block))[0])
+            row = next(sampler._exponential_rows(n, 1, block, 1))
+            row /= row.sum(axis=1, keepdims=True)
+            np.testing.assert_array_equal(lam, row[0])
 
 
 class TestClassify:
@@ -259,6 +262,11 @@ class TestRunTrials:
         assert fused.counts[1] == plain.counts[1] + plain.counts[2]
         p = plain.exact_probs.weights
         assert fused.exact_probs.weights[1] == p[[1, 2]].sum()
+        # one block is the 0-simplex: one class, every trial in it
+        whole = run_trials(standard_state_3(), B3, 30000, RngSeed(37), partition=[[0, 1, 2]])
+        np.testing.assert_array_equal(whole.counts, [30000])
+        assert whole.exact_probs.weights.tolist() == [p[[0, 1, 2]].sum()]
+        assert whole.chi_square == whole.max_abs_deviation == 0.0
 
     def test_merge_reports_sums_counts(self):
         parts = [
@@ -330,6 +338,7 @@ class TestRunTrials:
             lambda: OracleReport(2, [1, 1], ties=0.5, disagreements=0),
             lambda: OracleReport(2, [1, 1], ties=0, disagreements=True),
             lambda: TrialReport(10, Barycentric([1.0, 0.0]), [9, 1]),
+            lambda: TrialReport(10, Barycentric([1 + 5e-13, -5e-13]), [9, 1]),
         ],
         ids=[
             "trial-negative-count",
@@ -348,6 +357,7 @@ class TestRunTrials:
             "oracle-float-ties",
             "oracle-bool-disagreements",
             "trial-count-on-zero-probability",
+            "trial-count-on-negative-rounding-probability",
         ],
     )
     def test_reports_reject_impossible_counts(self, make):
@@ -511,7 +521,7 @@ class TestPlantedRows:
         lam, winners = _planted_rows(rng, p, 400)
         blocks = (lam[:250], lam[250:])
 
-        def planted(dim, count, rng):
+        def planted(dim, count, rng, rows):
             assert (dim, count) == (n, len(lam))
             for block in blocks:
                 yield block.copy()
