@@ -39,8 +39,7 @@ from .sampler import RngSeed, _set_partition, geometric_hit_count_oracle, run_tr
 from .serialize import (
     dumps,
     oracle_report_to_dict,
-    pairs_to_matrix,
-    pairs_to_vector,
+    pairs_to_array,
     process_trace_to_dict,
     simplex_geometry_to_dict,
     trial_report_to_csv,
@@ -99,26 +98,24 @@ def _as_bool(raw, field: str) -> bool:
     return raw
 
 
+def _pairs(raw, field: str, shape: tuple[int, ...]):
+    """The config field's [re, im] pairs as a complex array of ``shape``."""
+    try:
+        return pairs_to_array(raw, shape)
+    except (TypeError, ValueError) as exc:
+        _fail(field, str(exc))
+
+
 def _parse_state(raw, dim: int) -> DensityMatrix:
     if not isinstance(raw, dict) or set(raw) not in ({"ket"}, {"density"}):
         _fail("state", "expected an object with exactly one of 'ket' or 'density'")
     if "ket" in raw:
-        try:
-            amps = pairs_to_vector(raw["ket"])
-        except (TypeError, ValueError) as exc:
-            _fail("state.ket", f"expected a list of [re, im] pairs ({exc})")
-        if amps.size != dim:
-            _fail("state.ket", f"has {amps.size} amplitudes but dim is {dim}")
+        amps = _pairs(raw["ket"], "state.ket", (dim,))
         try:
             return ket_to_density(Ket(amps))
         except BlochSimError as exc:
             _fail("state.ket", str(exc))
-    try:
-        entries = pairs_to_matrix(raw["density"])
-    except (TypeError, ValueError) as exc:
-        _fail("state.density", f"expected a matrix of [re, im] pairs ({exc})")
-    if entries.shape != (dim, dim):
-        _fail("state.density", f"has shape {entries.shape} but dim is {dim}")
+    entries = _pairs(raw["density"], "state.density", (dim, dim))
     try:
         d = DensityMatrix(entries)
     except BlochSimError as exc:
@@ -131,14 +128,7 @@ def _parse_state(raw, dim: int) -> DensityMatrix:
 def _parse_basis(raw, dim: int) -> MeasurementBasis:
     if raw is None:
         return MeasurementBasis.canonical(dim)
-    if not isinstance(raw, list) or len(raw) != dim:
-        _fail("basis", f"expected a list of {dim} kets")
-    try:
-        kets = pairs_to_matrix(raw)
-    except (TypeError, ValueError) as exc:
-        _fail("basis", f"expected kets as lists of [re, im] pairs ({exc})")
-    if kets.shape != (dim, dim):
-        _fail("basis", f"kets have shape {kets.shape}, expected ({dim}, {dim})")
+    kets = _pairs(raw, "basis", (dim, dim))
     try:
         return MeasurementBasis(kets)
     except BlochSimError as exc:

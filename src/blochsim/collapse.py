@@ -66,8 +66,12 @@ class ProcessTrace:
 
 
 def _diagonal(p: np.ndarray, kets: np.ndarray) -> DensityMatrix:
-    """sum_j p_j |a_j><a_j| over the rows |a_j> of kets."""
-    return DensityMatrix(np.einsum("j,ji,jk->ik", p, kets, kets.conj()))
+    """sum_j p_j |a_j><a_j| over the rows |a_j> of kets.
+
+    Two operands, p_j a_j first: bit for bit the three-operand
+    ``einsum("j,ji,jk->ik", p, kets, kets.conj())``, signed zeros included.
+    """
+    return DensityMatrix(np.einsum("ji,jk->ik", p[:, None] * kets, kets.conj()))
 
 
 def reduce_state(d: DensityMatrix, b: MeasurementBasis) -> DensityMatrix:

@@ -65,9 +65,11 @@ generator, ``_exponential_rows``, which fills one reused buffer of the
 caller's block size: ``_CHUNK_ELEMS`` = 2^16 elements for
 :func:`run_trials`, one oracle block for the oracle. The values do not
 depend on the chunking. :func:`run_trials` finds the support
-sup = {j : p_j > 0} once per call. A vertex state (one outcome of positive weight) has nothing to
-break: the only finite ratio wins every row, so :func:`run_trials`
-counts every trial for that outcome and builds no generator. Below
+sup = {j : p_j > 0} once per call. When sup lies inside one class (one
+outcome without a partition, as for a vertex state) there is nothing to
+break: only ratios of that class are finite, so one of them wins every
+row, and :func:`run_trials` counts every trial for that class and builds
+no generator. Below
 ``_RACE_BELOW_SUPPORT`` = 22 support columns it races them one column at
 a time (the tally, below). From there on it tiles the divisors (p, zero
 weights replaced by 1.0) once per call over at most one block of rows
@@ -493,7 +495,8 @@ def run_trials(
     With a partition the outcomes are tallied per fused class; a
     partition of singletons consumes the identical sample stream and
     therefore reproduces the non-degenerate tallies exactly. A vertex
-    state (one outcome of positive weight) draws nothing.
+    state, or any state whose Born support lies inside one partition
+    class, draws nothing and builds no generator.
     """
     n_trials = _trial_count(n_trials, "n_trials")
     p = born_probabilities(d, b)
@@ -504,7 +507,10 @@ def run_trials(
     counts = np.zeros(k, dtype=np.int64)
     sup = np.flatnonzero(pw > 0.0)
     rows = min(n_trials, _block_rows(k))
-    if sup.size == 1:  # a vertex: its ratio alone is finite, nothing to draw
+    support = set(sup.tolist())
+    classes = [(j,) for j in range(k)] if blocks is None else blocks
+    if any(support <= set(blk) for blk in classes):
+        # the support lies in one class: every trial lands there, nothing to draw
         counts[sup[0]] = n_trials
     elif sup.size < _RACE_BELOW_SUPPORT:
         _column_race(_exponential_rows(k, n_trials, seed.generator(), rows), pw, sup, rows, counts)

@@ -5,15 +5,21 @@ insertion order, so identical inputs produce byte-identical artifacts.
 Complex scalars travel as [re, im] pairs.
 
 Float and integer arrays are written an array at a time: one finiteness
-check per float array, then each innermost row of its ``tolist()`` in
-one ``%`` operation on a ``"%.12g, %.12g, ..."`` template (``str`` per
-number for integers), nested into [...] lists joined with ", ".
-``%.12g`` writes the same text as ``{:.12g}``, signed zeros and
-subnormals included.
-The text is the one that writing each element on its own gives, and so
-is the error: the first non-finite value in row-major order is named.
-Other arrays (bool, complex) and other objects are written element by
-element.
+check per float array, then one ``%`` of all its elements, in row-major
+order, over one template built from the array's shape. The template
+holds one ``"%.12g"`` (floats) or ``"%d"`` (integers) per element inside
+[...] lists joined with ", ". ``%.12g`` writes the same text as
+``{:.12g}``, signed zeros and subnormals included. The text is the one
+that writing each element on its own gives, and so is the error: the
+first non-finite value in row-major order is named. Other arrays (bool,
+complex) and other objects are written element by element.
+
+Nested [re, im] pairs are read an array at a time by ``pairs_to_array``.
+Each number must be a JSON int or float (``int`` or ``float`` exactly)
+within float range. A leaf of any other type (bool, str, None, list,
+dict) is a TypeError; a wrong shape (ragged rows, wrong pair lengths, a
+string or dict in place of a list) or an int beyond float range is a
+ValueError. Each number converts as ``float`` converts it.
 """
 
 from __future__ import annotations
@@ -35,18 +41,12 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _float_row(row: list) -> str:
-    return "[" + ", ".join(["%.12g"] * len(row)) % tuple(row) + "]"
-
-
-def _int_row(row: list) -> str:
-    return "[" + ", ".join(map(str, row)) + "]"
-
-
-def _nested(items: list, depth: int, row_text) -> str:
-    if depth == 1:
-        return row_text(items)
-    return "[" + ", ".join(_nested(item, depth - 1, row_text) for item in items) + "]"
+def _template(shape: tuple[int, ...], spec: str) -> str:
+    """``spec`` once per element of an array of ``shape``, nested as JSON lists."""
+    text = spec
+    for side in reversed(shape):
+        text = "[" + ", ".join([text] * side) + "]"
+    return text
 
 
 def _array_text(a: np.ndarray) -> str:
@@ -55,8 +55,8 @@ def _array_text(a: np.ndarray) -> str:
         finite = np.isfinite(a)
         if not finite.all():
             format_float(a[~finite][0])
-        return _nested(a.astype(np.float64, copy=False).tolist(), a.ndim, _float_row)
-    return _nested(a.tolist(), a.ndim, _int_row)
+        return _template(a.shape, "%.12g") % tuple(a.astype(np.float64, copy=False).ravel().tolist())
+    return _template(a.shape, "%d") % tuple(a.ravel().tolist())
 
 
 def _write(obj, parts: list[str], indent: int) -> None:
@@ -112,21 +112,22 @@ def matrix_to_pairs(m: np.ndarray) -> np.ndarray:
     return np.stack([m.real, m.imag], axis=-1)
 
 
-def pairs_to_vector(pairs) -> np.ndarray:
-    """[re, im] pairs of numbers as a complex vector; strings and bools are a TypeError."""
-    out = np.empty(len(pairs), dtype=np.complex128)
-    for i, (re, im) in enumerate(pairs):
-        if isinstance(re, (str, bool)) or isinstance(im, (str, bool)):
-            raise TypeError(f"expected numbers, got [{re!r}, {im!r}]")
-        out[i] = complex(float(re), float(im))
-    return out
+def pairs_to_array(data, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested [re, im] pairs of numbers as a complex array of ``shape``.
 
-
-def pairs_to_matrix(rows) -> np.ndarray:
-    m = np.array([pairs_to_vector(row) for row in rows])
-    if m.ndim != 2:
-        raise ValueError("matrix rows have inconsistent lengths")
-    return m
+    The contract is in the module docstring.
+    """
+    a = np.array(data, dtype=object)
+    if a.shape != (*shape, 2):
+        raise ValueError(f"expected [re, im] pairs in an array of shape {(*shape, 2)}, got shape {a.shape}")
+    for x in a.flat:
+        if type(x) is not int and type(x) is not float:
+            raise TypeError(f"expected numbers, got {x!r}")
+    try:
+        re_im = a.astype(np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"expected numbers within float range ({exc})") from None
+    return re_im.view(np.complex128).reshape(shape)
 
 
 def trial_report_to_dict(report: TrialReport) -> dict:

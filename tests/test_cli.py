@@ -17,7 +17,7 @@ import blochsim
 from blochsim import ConfigError, ContractError, validate_partition
 from blochsim.cli import main, parse_config, run_experiment
 from blochsim.serialize import matrix_to_pairs
-from util import random_basis
+from util import config_with_entry, random_basis
 
 MINIMAL = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}}'
 
@@ -327,22 +327,33 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.startswith("outcome,exact_prob,")
 
-    def test_module_entry_point(self, tmp_path):
+    @staticmethod
+    def _run_module(tmp_path, text: str) -> subprocess.CompletedProcess:
+        """``python -m blochsim`` on a config, in a child process."""
         path = tmp_path / "cfg.json"
-        path.write_text(MINIMAL)
+        path.write_text(text)
         # the child imports the same package as this process, installed or not
         src = str(Path(blochsim.__file__).resolve().parents[1])
         inherited = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))}
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "blochsim", "--config", str(path), "--trials", "50"],
             capture_output=True,
             text=True,
             env=env,
         )
+
+    def test_module_entry_point(self, tmp_path):
+        proc = self._run_module(tmp_path, MINIMAL)
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["counts"] == [50, 0]
+
+    def test_module_reports_an_oversized_integer_without_a_traceback(self, tmp_path):
+        proc = self._run_module(tmp_path, config_with_entry("state.ket", 10**400))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: state.ket: ")
+        assert "Traceback" not in proc.stderr
 
     def test_trace_of_accepted_state_with_imaginary_diagonal(self, tmp_path, capsys):
         # construction accepts |Im D_mm| = 5e-13; the trace's Bloch map must too

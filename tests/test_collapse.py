@@ -18,6 +18,7 @@ from blochsim import (
     run_trials,
     to_bloch,
 )
+from blochsim.collapse import _diagonal
 from util import projector_mixture, random_basis, random_density, random_ket, standard_state_3
 
 B3 = MeasurementBasis.canonical(3)
@@ -67,6 +68,41 @@ class TestReduceState:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             reduce_state(ket_to_density(Ket([1, 0])), B3)
+
+
+def _bases(rng, n):
+    """Haar, canonical, permutation, real orthogonal and diagonal phase bases."""
+    real, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    yield random_basis(rng, n).kets
+    yield np.eye(n, dtype=complex)
+    yield np.eye(n, dtype=complex)[rng.permutation(n)]
+    yield real.T.astype(complex)
+    yield np.diag(np.exp(2j * np.pi * rng.random(n)))
+
+
+def _weights(rng, n):
+    """Dirichlet, half of them zero, a vertex, and a Dirichlet draw with -0.0 zeros."""
+    yield rng.dirichlet(np.ones(n))
+    half = rng.dirichlet(np.ones(n))
+    half[rng.permutation(n)[: n // 2]] = 0.0
+    yield half / half.sum()
+    yield np.eye(n)[rng.integers(n)]
+    signed = rng.dirichlet(np.ones(n))
+    signed[rng.permutation(n)[: n // 2]] = -0.0
+    yield signed / signed.sum()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 32])
+def test_diagonal_is_bitwise_the_three_operand_einsum(n):
+    rng = np.random.default_rng(900 + n)
+    for kets in _bases(rng, n):
+        for p in _weights(rng, n):
+            members = np.sort(rng.permutation(n)[: int(rng.integers(1, n + 1))])
+            on_block = rng.dirichlet(np.ones(members.size))
+            for w, k in ((p, kets), (on_block, kets[members])):
+                expected = np.einsum("j,ji,jk->ik", w, k, k.conj())
+                got = _diagonal(w, k).entries
+                np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestRunMeasurement:

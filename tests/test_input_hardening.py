@@ -26,7 +26,7 @@ from blochsim import (
     run_trials,
 )
 from blochsim.cli import main
-from util import standard_state_3
+from util import config_with_entry, standard_state_3
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 #: Where the bad number goes: the real or the imaginary part.
@@ -161,15 +161,15 @@ class TestConfigExitCodes:
     @pytest.mark.parametrize("entry", ["1", True], ids=["string", "bool"])
     @pytest.mark.parametrize("field", ["state.ket", "state.density", "basis"])
     def test_complex_entries_must_be_numbers(self, tmp_path, capsys, field, entry):
-        cfg = {"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}}
-        if field == "state.ket":
-            cfg["state"] = {"ket": [[entry, 0], [0, 0]]}
-        elif field == "state.density":
-            cfg["state"] = {"density": [[[entry, 0], [0, 0]], [[0, 0], [0, 0]]]}
-        else:
-            cfg["basis"] = [[[entry, 0], [0, 0]], [[0, 0], [1, 0]]]
-        assert _main_on(tmp_path, json.dumps(cfg)) == 2
+        assert _main_on(tmp_path, config_with_entry(field, entry)) == 2
         assert f"{field}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("field", ["state.ket", "state.density", "basis"])
+    def test_integer_beyond_float_range_is_a_config_error(self, tmp_path, capsys, field, sign):
+        assert _main_on(tmp_path, config_with_entry(field, sign * 10**400)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and "float range" in err
 
     @pytest.mark.parametrize("flag", ["1|2,\u00b3", "1|2,\u0663"], ids=["superscript", "arabic-indic"])
     def test_partition_flag_accepts_ascii_digits_only(self, tmp_path, capsys, flag):

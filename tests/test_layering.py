@@ -9,6 +9,11 @@ tensor at N=32 cannot return to a library path.
 Every lambda is drawn in one of two places: the block generator
 ``_exponential_rows`` or the one-call draw of ``sample_lambda``, so no
 consumer grows a draw loop of its own.
+
+Every [re, im] pair is read by one codec, ``serialize.pairs_to_array``:
+``cli.py`` converts no config value with ``complex`` or ``float``, and no
+other library function builds complex numbers out of pairs, so no
+per-field conversion loop grows back.
 """
 
 import ast
@@ -53,26 +58,48 @@ LAMBDA_DRAWS = {"standard_exponential", "exponential", "dirichlet"}
 DRAWERS = {("sampler.py", "_exponential_rows"), ("sampler.py", "sample_lambda")}
 
 
-def _lambda_draw_sites(tree: ast.AST, module: str) -> set[tuple[str, str]]:
-    """(module, enclosing function) of every call of a lambda-draw method."""
-    sites = set()
+def _calls(tree: ast.AST):
+    """(enclosing function, call node) of every call in a module."""
 
-    def visit(node: ast.AST, function: str) -> None:
+    def visit(node: ast.AST, function: str):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         if isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name in LAMBDA_DRAWS:
-                sites.add((module, function))
+            yield function, node
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            yield from visit(child, function)
 
-    visit(tree, "<module>")
-    return sites
+    yield from visit(tree, "<module>")
 
 
 def test_lambda_is_drawn_in_one_loop():
     sites = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        sites |= _lambda_draw_sites(ast.parse(path.read_text()), path.name)
+        for fn, call in _calls(ast.parse(path.read_text())):
+            if getattr(call.func, "attr", getattr(call.func, "id", None)) in LAMBDA_DRAWS:
+                sites.add((path.name, fn))
     assert sites == DRAWERS
+
+
+def _builds_complex_from_pairs(call: ast.Call) -> bool:
+    """``complex(re, im)``, or a ``.view`` of real pairs as a complex dtype."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "complex":
+        return len(call.args) + len(call.keywords) >= 2
+    return (isinstance(func, ast.Attribute) and func.attr == "view"
+            and any("complex" in ast.unparse(arg) for arg in call.args))
+
+
+def test_cli_converts_no_number_itself():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    conversions = [ast.unparse(call) for _, call in _calls(tree)
+                   if isinstance(call.func, ast.Name) and call.func.id in ("complex", "float")]
+    assert conversions == []
+
+
+def test_pairs_are_read_by_one_codec():
+    sites = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        sites |= {(path.name, fn) for fn, call in _calls(tree) if _builds_complex_from_pairs(call)}
+    assert sites == {("serialize.py", "pairs_to_array")}

@@ -305,6 +305,13 @@ class TestRunTrials:
             report = run_trials(d, b, 5, RngSeed(1), partition=blocks)
             np.testing.assert_array_equal(report.counts, [5 * (i in blk) for blk in blocks])
 
+        # a support of two outcomes inside one class: nothing to draw either
+        for n in (3, 32):
+            d = ket_to_density(Ket(np.sqrt(np.r_[0.5, 0.5, np.zeros(n - 2)])))
+            report = run_trials(d, MeasurementBasis.canonical(n), 10**7, RngSeed(1),
+                                partition=[[0, 1], list(range(2, n))])
+            np.testing.assert_array_equal(report.counts, [10**7, 0])
+
     @pytest.mark.parametrize(
         "make",
         [

@@ -1,10 +1,15 @@
-"""``serialize.dumps`` writes the same text as the per-element writer.
+"""``serialize.dumps`` writes the same text as the per-element writer,
+and ``serialize.pairs_to_array`` reads pairs as ``float`` reads numbers.
 
 ``dumps`` formats float and integer arrays an array at a time. The
 reference below is the element-by-element writer it replaced, kept
 verbatim: every document, including ones with -0.0, subnormals, ±1e308,
 empty arrays and nested containers, must come out byte-identical, and a
 non-finite number must raise the same ``ContractError`` message.
+
+``pairs_to_array`` converts a whole nested list at once. Each number must
+come out as ``complex(float(re), float(im))``, bit for bit, and every
+malformed input must raise TypeError or ValueError, never anything else.
 """
 
 import json
@@ -15,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from blochsim.errors import ContractError
-from blochsim.serialize import dumps
+from blochsim.serialize import dumps, pairs_to_array
 
 
 def format_float(x: float) -> str:
@@ -148,3 +153,98 @@ def test_report_shapes_write_as_before():
     doc = {"vertices": rng.standard_normal((4, 15)), "density": pairs, "counts": np.arange(4),
            "empty": np.empty((2, 0)), "flags": np.array([True, False])}
     assert dumps(doc) == reference_dumps(doc)
+
+
+#: Numbers where int and float conversion have edge cases: signed zeros,
+#: subnormals, ints above 2^53 that round, and the ends of float range.
+EDGE_NUMBERS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, 2**53 + 1, -(2**63) - 1, 2**64 + 3,
+     2**1023, -(2**1024 - 2**970 - 1)]
+)
+NUMBERS = st.integers(-(2**1023), 2**1023) | st.floats() | EDGE_NUMBERS
+#: Nested lists carry no shape past a side of 0, so pair arrays have no empty side.
+PAIR_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4)
+#: Leaves that are not numbers.
+NOT_NUMBERS = st.sampled_from(["1", "", True, False, None, [], [1.0], {}, {"re": 1}])
+#: Ints whose float conversion overflows.
+TOO_LARGE = st.sampled_from([2**1024, -(2**1024), 2**1024 - 2**970, 10**400])
+
+
+def _nest(flat: list, shape: tuple[int, ...]) -> list:
+    """``flat`` as nested lists of ``shape``, in row-major order."""
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0]
+    return [_nest(flat[i * step:(i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+@st.composite
+def _pairs(draw):
+    """(shape, flat numbers, nested [re, im] pairs of that shape)."""
+    shape = draw(PAIR_SHAPES)
+    size = 2 * int(np.prod(shape))
+    flat = draw(st.lists(NUMBERS, min_size=size, max_size=size))
+    return shape, flat, _nest(flat, (*shape, 2))
+
+
+def _raises(data, shape):
+    try:
+        pairs_to_array(data, shape)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_pairs())
+def test_pairs_convert_as_float_converts(case):
+    shape, flat, nested = case
+    out = pairs_to_array(nested, shape)
+    assert out.dtype == np.complex128 and out.shape == shape
+    expected = np.array([complex(float(re), float(im)) for re, im in zip(flat[::2], flat[1::2])])
+    np.testing.assert_array_equal(out.reshape(-1).view(np.uint64), expected.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_pairs(), bad=NOT_NUMBERS | TOO_LARGE, data=st.data())
+def test_a_bad_leaf_is_a_type_or_value_error(case, bad, data):
+    shape, flat, _ = case
+    flat[data.draw(st.integers(0, len(flat) - 1))] = bad
+    expected = ValueError if type(bad) is int else TypeError
+    assert _raises(_nest(flat, (*shape, 2)), shape) is expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_pairs(), data=st.data())
+def test_a_bad_shape_is_a_value_error(case, data):
+    shape, flat, nested = case
+    how = data.draw(st.sampled_from(["pair length", "ragged", "shape"]))
+    if how == "shape":
+        other = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0).filter(lambda s: s != shape))
+        assert _raises(nested, other) is ValueError
+        return
+    # a pair one number short or long, or a row one pair short
+    index = np.unravel_index(data.draw(st.integers(0, int(np.prod(shape)) - 1)), shape)
+    target = nested
+    for i in index if how == "pair length" else index[:-1]:
+        target = target[i]
+    if how == "pair length" and data.draw(st.booleans()):
+        target.append(0)
+    else:
+        target.pop()
+    assert _raises(nested, shape) is ValueError
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | NUMBERS | TOO_LARGE | st.text(max_size=3),
+    lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=2), children, max_size=2)
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=JSON, shape=PAIR_SHAPES)
+def test_any_json_value_converts_or_raises_type_or_value_error(data, shape):
+    assert _raises(data, shape) in (None, TypeError, ValueError)

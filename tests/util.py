@@ -7,6 +7,7 @@ other.
 
 from __future__ import annotations
 
+import json
 from math import factorial
 
 import numpy as np
@@ -70,3 +71,15 @@ def projector_mixture(basis: MeasurementBasis, weights) -> DensityMatrix:
 def standard_state_3() -> DensityMatrix:
     """The recurring 3-outcome test state with Born weights (0.5, 0.3, 0.2)."""
     return ket_to_density(Ket(np.sqrt([0.5, 0.3, 0.2])))
+
+
+def config_with_entry(field: str, entry) -> str:
+    """A dim-2 config text with ``entry`` as the first real part of the pairs of ``field``."""
+    cfg = {"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}}
+    if field == "state.ket":
+        cfg["state"] = {"ket": [[entry, 0], [0, 0]]}
+    elif field == "state.density":
+        cfg["state"] = {"density": [[[entry, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    else:
+        cfg["basis"] = [[[entry, 0], [0, 0]], [[0, 0], [1, 0]]]
+    return json.dumps(cfg)
