@@ -44,7 +44,6 @@ from .sampler import (
     geometric_hit_count_oracle,
     measure_degenerate,
     measure_once,
-    merge_reports,
     run_trials,
     sample_lambda,
     validate_partition,
@@ -57,8 +56,7 @@ from .simplex import (
     basis_to_simplex,
     born_probabilities,
     project_onto_simplex,
-    simplex_measure,
-    subregion_measures,
+    subregion_ratios,
 )
 
 __version__ = "0.1.0"
@@ -98,15 +96,13 @@ __all__ = [
     "ket_to_density",
     "measure_degenerate",
     "measure_once",
-    "merge_reports",
     "project_onto_simplex",
     "purity",
     "reduce_state",
     "run_measurement",
     "run_trials",
     "sample_lambda",
-    "simplex_measure",
-    "subregion_measures",
+    "subregion_ratios",
     "to_bloch",
     "validate_partition",
     "verify_generator_set",

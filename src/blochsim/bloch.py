@@ -74,7 +74,9 @@ class Ket:
         amps = np.array(self.amplitudes, dtype=np.complex128, order="C")
         if amps.ndim != 1 or amps.size < 2:
             raise DimensionError(f"ket must be a vector of length >= 2, got shape {amps.shape}")
-        norm_sq = float((np.abs(amps) ** 2).sum())
+        # einsum reports no overflow: amplitudes near float max give inf, not a warning
+        parts = amps.view(np.float64)
+        norm_sq = float(np.einsum("i,i->", parts, parts))
         if not abs(norm_sq - 1.0) <= ALGEBRA_TOL:
             raise NormalizationError(
                 f"ket is not unit-normalized: sum |psi_k|^2 = {norm_sq!r}"
@@ -103,12 +105,14 @@ class DensityMatrix:
         m = np.array(self.entries, dtype=np.complex128, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise DimensionError(f"density matrix must be square with N >= 2, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise NormalizationError("matrix has non-finite entries")
-        herm = float(np.abs(m - m.conj().T).max())
+        # a non-finite entry makes herm nan or inf, and so does an entry near float max
+        with np.errstate(over="ignore", invalid="ignore"):
+            herm = float(np.abs(m - m.conj().T).max())
+            tr = complex(m.trace())
         if not herm <= ALGEBRA_TOL:
+            if not np.isfinite(m).all():
+                raise NormalizationError("matrix has non-finite entries")
             raise NormalizationError(f"matrix is not Hermitian: max |D - D^dagger| = {herm:.3e}")
-        tr = complex(m.trace())
         if not abs(tr - 1.0) <= ALGEBRA_TOL:
             raise NormalizationError(f"matrix does not have unit trace: Tr D = {tr!r}")
         m.setflags(write=False)

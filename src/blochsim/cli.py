@@ -258,6 +258,14 @@ def _render(cfg: ExperimentConfig) -> str:
             cfg.seed.generator(),
             simplex=simplex,
         )
+        # it classifies the report's lambda stream: each tie may move one count
+        counts, reported = oracle.counts.tolist(), report.counts.tolist()
+        if cfg.partition is not None:
+            counts = [sum(counts[i] for i in blk) for blk in cfg.partition]
+        distance = sum(abs(a - b) for a, b in zip(counts, reported))
+        if distance > 2 * oracle.ties:
+            raise ContractError(f"oracle counts {counts} differ from the reported counts "
+                                f"{reported} by {distance} > 2 x {oracle.ties} ties")
         doc["oracle"] = oracle_report_to_dict(oracle)
     return dumps(doc) + "\n"
 

@@ -18,7 +18,10 @@ An outcome with p_j = 0 owns a region of measure zero; its column of
 ratios is +inf, which never beats the finite ratio of an outcome with
 p_j >= 1/N, so such outcomes are never selected and their frequency is
 exactly zero. Its column is divided by 1.0 before the +inf is written,
-never by 0, so an exact 0.0 draw cannot form the NaN of 0/0. This O(N)
+never by 0, so an exact 0.0 draw cannot form the NaN of 0/0. A weight at
+or below ``NEGLIGIBLE_WEIGHT`` = 1e-300 counts as zero: it could win
+only against a draw below 1e-297, and a subnormal one would overflow the
+quotients of any draw. This O(N)
 rule is the production path and is written once, in ``_ratios``;
 :func:`classify`, the oracle's comparison and :func:`run_trials` on a
 large support take the argmin of its full-width output. On a small
@@ -28,18 +31,18 @@ never reads a zero-weight column, whose +inf could not win anyway.
 convex-coefficient solves over the embedded vertices and is kept as an
 independent cross-check, never replaced by the shortcut.
 
-The oracle's solve. The vertices are taken once to frame coordinates,
-vert_y = frame . (V^T - centroid). Because sum(lambda) = 1, a sample's
-frame coordinates frame . (lambda . V - centroid) are then vert_y . lambda,
-one (N-1) x N product per sample, never a trip through R^(N^2 - 1). The
-frame must span the simplex's affine hull, and that is checked once per
-simplex, before any draw: a sample is a convex combination of the
-vertices, so its distance off the frame's span is at most the largest
-vertex's. The coefficients of all N regions come from one product of
-[y; 1] with the N stacked inverses of the square systems
-[frame . (n_j - centroid), j != i | frame . (r_par - centroid); 1], each
-checked by its back-substitution residual. It draws blocks of
-``_CHUNK_ELEMS // N^2`` samples, at least ``_ORACLE_MIN_BLOCK`` = 256,
+The oracle's solve. ``simplex._frame_systems``, whose determinants give
+the measure ratios, builds its systems: S = [vert_y; 1], vert_y the
+vertices' frame coordinates, and the region systems S_i, S with column i
+dropped and r_par's column appended. Because sum(lambda) = 1, a sample's
+frame coordinates are vert_y . lambda, one (N-1) x N product per sample,
+never a trip through R^(N^2 - 1). The frame must span the simplex's
+affine hull, and that is checked once per simplex, before any draw: a
+sample is a convex combination of the vertices, so its distance off the
+frame's span is at most the largest vertex's. The coefficients of all N
+regions come from one product of [y; 1] with the N stacked inverses of
+the S_i, each checked by its back-substitution residual. It draws blocks
+of ``_CHUNK_ELEMS // N^2`` samples, at least ``_ORACLE_MIN_BLOCK`` = 256,
 from ``_exponential_rows`` at that size (at most 256 KiB of draws, at
 N = 2) and normalises each in place. It solves a block sample axis last
 in two reused slabs, the coefficients and the back-substitution: a slab
@@ -109,9 +112,6 @@ columns: the median time ratio argmin/race over 11 alternating runs of
 and 0.96-0.97 with 24.
 
 Ties (boundary lambdas, measure zero) break to the smallest index.
-
-Trial loops may be fanned out over workers holding distinct (seed,
-stream) pairs; merge the per-worker reports with :func:`merge_reports`.
 """
 
 from __future__ import annotations
@@ -127,10 +127,11 @@ from .simplex import (
     Barycentric,
     MeasurementBasis,
     MeasurementSimplex,
+    _frame_systems,
     basis_to_simplex,
     born_probabilities,
 )
-from .tolerances import BOUNDARY_TOL, HULL_TOL, MEMBER_TOL, TIE_BAND
+from .tolerances import BOUNDARY_TOL, HULL_TOL, MEMBER_TOL, NEGLIGIBLE_WEIGHT, TIE_BAND
 
 #: Elements (not rows) per block of exponential draws: 512 KiB of float64.
 #: The trial loop holds the block and either a divisor tile of the same
@@ -312,7 +313,7 @@ def _exponential_rows(n: int, count: int, rng: np.random.Generator, rows: int):
 
 
 def _ratios(lam: np.ndarray, p: np.ndarray, divisors: np.ndarray | None = None) -> np.ndarray:
-    """b_j / p_j along the last axis of ``lam``, +inf where p_j = 0.
+    """b_j / p_j along the last axis of ``lam``, +inf where p_j is zero (at most 1e-300).
 
     The outcome is the argmin; ``lam`` may be unnormalized. A zero weight
     divides by 1.0 and its column is then overwritten, so an exact 0.0
@@ -320,7 +321,7 @@ def _ratios(lam: np.ndarray, p: np.ndarray, divisors: np.ndarray | None = None) 
     at least as many rows as ``lam`` has, ``lam`` is divided in place and
     returned; operands of one shape run as one flat loop, not one per row.
     """
-    support = p > 0.0
+    support = p > NEGLIGIBLE_WEIGHT
     full = np.count_nonzero(support) == p.size
     if divisors is None:
         ratios = lam / (p if full else np.where(support, p, 1.0))
@@ -333,7 +334,7 @@ def _ratios(lam: np.ndarray, p: np.ndarray, divisors: np.ndarray | None = None) 
 
 def _divisors(p: np.ndarray, rows: int) -> np.ndarray:
     """p with its zero weights replaced by 1.0, repeated ``rows`` times, flat."""
-    return np.tile(np.where(p > 0.0, p, 1.0), rows)
+    return np.tile(np.where(p > NEGLIGIBLE_WEIGHT, p, 1.0), rows)
 
 
 def _column_race(blocks, p: np.ndarray, sup: np.ndarray, rows: int, counts: np.ndarray) -> None:
@@ -505,7 +506,7 @@ def run_trials(
     blocks = None if partition is None else validate_partition(partition, k)
 
     counts = np.zeros(k, dtype=np.int64)
-    sup = np.flatnonzero(pw > 0.0)
+    sup = np.flatnonzero(pw > NEGLIGIBLE_WEIGHT)
     rows = min(n_trials, _block_rows(k))
     support = set(sup.tolist())
     classes = [(j,) for j in range(k)] if blocks is None else blocks
@@ -525,20 +526,6 @@ def run_trials(
     class_counts = np.array([counts[np.asarray(blk, dtype=np.intp)].sum() for blk in blocks])
     class_probs = np.array([pw[np.asarray(blk, dtype=np.intp)].sum() for blk in blocks])
     return TrialReport(n_trials, Barycentric(class_probs), class_counts)
-
-
-def merge_reports(reports) -> TrialReport:
-    """Combine worker reports for one experiment by summing counts."""
-    reports = list(reports)
-    if not reports:
-        raise ContractError("cannot merge an empty collection of reports")
-    probs = reports[0].exact_probs
-    for r in reports[1:]:
-        if not np.array_equal(r.exact_probs.weights, probs.weights):
-            raise ContractError("reports to merge must share identical exact probabilities")
-    counts = np.sum([r.counts for r in reports], axis=0)
-    total = int(sum(r.n_trials for r in reports))
-    return TrialReport(total, probs, counts)
 
 
 def _argmin_and_gap(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -602,14 +589,9 @@ def geometric_hit_count_oracle(
     if simplex.dim != n:
         raise DimensionError(f"simplex has dim {simplex.dim} but rpar has dim {n}")
 
-    verts, frame = simplex.vertices, simplex.frame
-    dev = verts.T - simplex.centroid[:, None]
-    vert_y = frame @ dev
-    par_y = frame @ (pw @ verts - simplex.centroid)
-    systems = np.ones((n, n, n))
-    for i in range(n):
-        systems[i, :-1, :-1] = np.delete(vert_y, i, axis=1)
-        systems[i, :-1, -1] = par_y
+    verts, centroid, frame = simplex.vertices, simplex.centroid, simplex.frame
+    stack = _frame_systems(verts, centroid, frame, pw @ verts)
+    vert_y, systems = stack[0, :-1], stack[1:]
     try:
         inverses = np.linalg.inv(systems).reshape(n * n, n)
     except np.linalg.LinAlgError:
@@ -618,7 +600,8 @@ def geometric_hit_count_oracle(
         ) from None
     # each sample is a convex combination of the vertices, so it lies no
     # farther off the frame's span than the farthest vertex
-    if not np.linalg.norm(dev - frame.T @ vert_y, axis=0).max() <= HULL_TOL:
+    off_hull = verts.T - centroid[:, None] - frame.T @ vert_y
+    if not np.linalg.norm(off_hull, axis=0).max() <= HULL_TOL:
         raise OracleInconsistencyError("frame does not span the simplex; geometry is inconsistent")
 
     counts = np.zeros(n, dtype=np.int64)

@@ -12,9 +12,10 @@ sub-simplexes A_i (replace vertex n_i by r_par), and
 
     mu(A_i) / mu(simplex) = Tr(D |a_i><a_i|)
 
-with mu the Lebesgue measure. :func:`subregion_measures` computes the
-left-hand side from Gram determinants; :func:`born_probabilities` the
-right-hand side from traces.
+with mu the Lebesgue measure. :func:`subregion_ratios` computes the
+left-hand side as |det S_i| / |det S|, S and S_i the square systems of
+the simplex and of A_i in frame coordinates, which ``_frame_systems``
+alone builds; :func:`born_probabilities` the right-hand side from traces.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class MeasurementBasis:
             raise DimensionError(f"basis must be N kets of length N (N >= 2), got shape {k.shape}")
         if not np.isfinite(k).all():
             raise BasisError("basis kets have non-finite entries")
-        gram = k.conj() @ k.T
-        resid = float(np.abs(gram - np.eye(k.shape[0])).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # near float max: resid inf or nan
+            gram = k.conj() @ k.T
+            resid = float(np.abs(gram - np.eye(k.shape[0])).max())
         if not resid <= ALGEBRA_TOL:
             raise BasisError(f"basis is not orthonormal: max |<a_i|a_j> - delta_ij| = {resid:.3e}")
         k.setflags(write=False)
@@ -118,7 +120,7 @@ class MeasurementSimplex:
         to rounding.
     total_measure : float
         Lebesgue measure of the simplex in the embedding's Euclidean
-        metric.
+        metric; subnormal from N = 172, and never read by the ratios.
     """
 
     dim: int
@@ -132,20 +134,6 @@ class MeasurementSimplex:
             a = np.array(getattr(self, name), dtype=np.float64, order="C")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-
-def simplex_measure(vertices: np.ndarray) -> float:
-    """Lebesgue measure of the simplex spanned by the given vertex rows.
-
-    Gram-determinant formula: mu = sqrt(det(E^T E)) / k! with E the matrix
-    of edge vectors v_i - v_0 and k the number of edges.
-    """
-    v = np.asarray(vertices, dtype=np.float64)
-    k = v.shape[0] - 1
-    edges = v[1:] - v[0]
-    gram = edges @ edges.T
-    det = float(np.linalg.det(gram))
-    return math.sqrt(max(det, 0.0)) / math.factorial(k)
 
 
 def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
@@ -171,10 +159,28 @@ def basis_to_simplex(b: MeasurementBasis) -> MeasurementSimplex:
     vertices = _bloch_rows(kets[:, :, None] * kets.conj()[:, None, :])
     centroid = vertices.mean(axis=0)
     frame = _gram_schmidt(vertices[:-1] - vertices[-1])
-    total = simplex_measure(vertices)
+    _, logdet = np.linalg.slogdet(_frame_systems(vertices, centroid, frame))
+    total = math.exp(logdet - math.lgamma(n))
     return MeasurementSimplex(
         dim=n, vertices=vertices, centroid=centroid, frame=frame, total_measure=total
     )
+
+
+def _frame_systems(vertices, centroid, frame, point=None) -> np.ndarray:
+    """S = [frame . (n_j - centroid); 1], one column per vertex; mu = |det S| / (N-1)!.
+
+    Given a Bloch-space ``point``, the stack (N + 1, N, N) of S and the N
+    systems S_i of the regions A_i: S without column i, then the point's
+    column [frame . (point - centroid); 1].
+    """
+    n = vertices.shape[0]
+    square = np.vstack([frame @ (vertices - centroid).T, np.ones(n)])
+    if point is None:
+        return square
+    extended = np.column_stack([square, np.append(frame @ (point - centroid), 1.0)])
+    k = np.arange(n)
+    columns = k + (k >= k[:, None])  # row i: every column but i, the point's (N) last
+    return np.concatenate([square[None], extended[:, columns].transpose(1, 0, 2)])
 
 
 def _check_point(r: BlochVector, s: MeasurementSimplex) -> None:
@@ -197,7 +203,7 @@ def affine_coordinates(point: BlochVector, s: MeasurementSimplex) -> np.ndarray:
         raise GeometryError(
             f"point is {off_hull:.3e} off the simplex affine hull (tolerance {HULL_TOL})"
         )
-    system = np.vstack([s.frame @ (s.vertices - s.centroid).T, np.ones(s.dim)])
+    system = _frame_systems(s.vertices, s.centroid, s.frame)
     rhs = np.concatenate([y, [1.0]])
     weights, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     resid = float(np.linalg.norm(system @ weights - rhs))
@@ -255,18 +261,14 @@ def born_probabilities(d: DensityMatrix, b: MeasurementBasis) -> Barycentric:
     return Barycentric(p.real)
 
 
-def subregion_measures(rpar: BlochVector, s: MeasurementSimplex) -> np.ndarray:
-    """Lebesgue measures of the N sub-simplexes A_i carved out by rpar.
+def subregion_ratios(rpar: BlochVector, s: MeasurementSimplex) -> np.ndarray:
+    """Measure ratios mu(A_i) / mu(simplex) of the N sub-simplexes A_i carved out by rpar.
 
-    A_i is spanned by the vertices {n_j : j != i} plus rpar; its measure
-    ratio mu(A_i) / mu(simplex) equals the i-th barycentric weight of
-    rpar, which is the Born probability of outcome i. The point must lie
+    A_i is spanned by the vertices {n_j : j != i} plus rpar; its ratio,
+    |det S_i| / |det S| from one ``slogdet``, is the i-th barycentric
+    weight of rpar: the Born probability of outcome i. The point must lie
     inside the closed simplex.
     """
     barycentric_of(rpar, s)
-    measures = np.empty(s.dim)
-    for i in range(s.dim):
-        verts = s.vertices.copy()
-        verts[i] = rpar.coords
-        measures[i] = simplex_measure(verts)
-    return measures
+    _, logdets = np.linalg.slogdet(_frame_systems(s.vertices, s.centroid, s.frame, rpar.coords))
+    return np.exp(logdets[1:] - logdets[0])

@@ -13,6 +13,9 @@ HULL_TOL = 1e-9
 #: Weights may dip this far below zero and still count as inside (valid
 #: states land exactly on faces); strictly inside means every weight exceeds it.
 BOUNDARY_TOL = 1e-12
+#: Born weights at or below this count as zero in the sampler: such an outcome
+#: could win the race only with a draw below 1e-297, and its quotients overflow.
+NEGLIGIBLE_WEIGHT = 1e-300
 #: Coefficient tolerance for the oracle's brute-force membership solve.
 MEMBER_TOL = 1e-10
 #: Two classifications within this band of a region boundary count as a tie.

@@ -23,7 +23,7 @@ from blochsim import (
     reduce_state,
     run_trials,
     sample_lambda,
-    subregion_measures,
+    subregion_ratios,
     to_bloch,
     verify_generator_set,
 )
@@ -48,7 +48,7 @@ def test_criterion_1_born_identity_as_measure_ratio():
             d = ket_to_density(random_ket(rng, n))
             p = born_probabilities(d, b).weights
             rpar = project_onto_simplex(to_bloch(d), s)
-            ratios = subregion_measures(rpar, s) / s.total_measure
+            ratios = subregion_ratios(rpar, s)
             worst = max(worst, float(np.max(np.abs(ratios - p))))
     _report(
         "criterion 1 (Born identity, 1000 states per N in 2..5)",

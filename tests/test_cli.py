@@ -260,6 +260,25 @@ class TestRunExperiment:
         assert doc["oracle"]["disagreements"] == 0
         assert sum(doc["oracle"]["counts"]) == 5000
 
+    def test_oracle_check_catches_a_misplaced_count(self, capsys, monkeypatch):
+        race = blochsim.sampler._column_race
+
+        def misplacing(blocks, p, sup, rows, counts):
+            race(blocks, p, sup, rows, counts)
+            counts[0] -= 1
+            counts[1] += 1
+
+        monkeypatch.setattr(blochsim.sampler, "_column_race", misplacing)
+        cfg = parse_config(THREE_LEVEL)
+        cfg.n_trials = 5000
+        assert run_experiment(cfg) == 0  # nothing to compare the counts with
+        capsys.readouterr()
+        cfg.oracle_check = True
+        assert run_experiment(cfg) == 1
+        err = capsys.readouterr().err
+        assert "oracle counts [2547, 1479, 974] differ from the reported counts" in err
+        assert err.endswith("by 2 > 2 x 0 ties\n")
+
     def test_oracle_on_vertex_state_is_a_contract_violation(self, capsys):
         cfg = parse_config(MINIMAL)
         cfg.oracle_check = True
@@ -383,8 +402,7 @@ class TestMain:
         namespace: dict = {}
         exec(library, namespace)
         assert namespace["r"].norm == pytest.approx(1.0, abs=1e-12)
-        born = namespace["mu"] / namespace["s"].total_measure
-        np.testing.assert_allclose(born, [0.5, 0.3, 0.2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(namespace["ratios"], [0.5, 0.3, 0.2], rtol=0, atol=1e-13)
 
 
 #: The report sections that only JSON carries.

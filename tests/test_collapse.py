@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochsim import (
     DensityMatrix,
@@ -15,6 +17,7 @@ from blochsim import (
     reduce_state,
     run_measurement,
     measure_degenerate,
+    measure_once,
     run_trials,
     to_bloch,
 )
@@ -194,3 +197,50 @@ class TestRunMeasurement:
         d = DensityMatrix(np.diag([0.5, 0.25, 0.25]))
         trace = run_measurement(d, B3, seed=RngSeed(5))
         assert trace.stage("initial").vector.norm < 1.0 - 1e-6
+
+
+def _lueders_post_state(d: DensityMatrix, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P D P / Tr(P D P) and P, with P = sum_a |a><a| over the rows of ``kets``."""
+    proj = sum(np.outer(a, a.conj()) for a in kets)
+    m = proj @ d.entries @ proj
+    return m / np.trace(m).real, proj
+
+
+def _check_post_state(post: np.ndarray, d: DensityMatrix, kets: np.ndarray) -> None:
+    expected, proj = _lueders_post_state(d, kets)
+    np.testing.assert_allclose(post, expected, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(proj @ post, post, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(post @ proj, post, rtol=0, atol=1e-11)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    pure=st.booleans(),
+    partitioned=st.booleans(),
+)
+def test_post_state_is_the_lueders_projection_in_a_haar_basis(n, seed, pure, partitioned):
+    """The post-state of class K is P_K D P_K / Tr(P_K D P_K), P_K built here.
+
+    In a complex basis the projector's conjugate is a different matrix, so
+    a post-state built from it fails; the canonical basis cannot tell them apart.
+    """
+    rng = np.random.default_rng(seed)
+    b = random_basis(rng, n)
+    d = ket_to_density(random_ket(rng, n)) if pure else random_density(rng, n)
+    if partitioned:
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+        blocks = [blk.tolist() for blk in np.split(rng.permutation(n), cuts)]
+    else:
+        blocks = [[i] for i in range(n)]
+    for s in range(3):
+        k, post = measure_degenerate(d, b, blocks, RngSeed(s).generator())
+        _check_post_state(post.entries, d, b.kets[blocks[k]])
+        trace = run_measurement(d, b, partition=blocks, seed=RngSeed(s))
+        _check_post_state(trace.stage("purified").density.entries, d, b.kets[blocks[trace.outcome]])
+        # without a partition the collapse lands on the outcome's projector
+        i, post = measure_once(d, b, RngSeed(s).generator())
+        _check_post_state(post.entries, d, b.kets[[i]])
+        trace = run_measurement(d, b, seed=RngSeed(s))
+        _check_post_state(trace.stage("collapsed").density.entries, d, b.kets[[trace.outcome]])

@@ -3,13 +3,17 @@
 Non-finite numbers must fail every validator (a NaN residual compares
 false against any tolerance), non-integer counts must raise ContractError
 rather than escape as a bare TypeError, and a bad config must exit 2.
+Finite numbers at the ends of the float range raise no warning on the
+way: a residual that overflows fails its check quietly, and the sampler
+never divides by a subnormal Born weight.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochsim import (
@@ -181,3 +185,62 @@ class TestConfigExitCodes:
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "trace": true}'
         assert _main_on(tmp_path, text, "--format", "csv") == 2
         assert "format:" in capsys.readouterr().err
+
+
+#: Finite magnitudes at both ends of the float range: near float max (their
+#: squares and products overflow), subnormal, and 1e-160, whose square is a
+#: subnormal Born weight (a draw divided by it overflows).
+EXTREME = st.sampled_from(
+    [1.7976931348623157e308, 1e308, 1.5e154, 2.2250738585072014e-308, 1e-310, 5e-324, 1e-160]
+)
+
+
+@st.composite
+def _extreme_configs(draw):
+    """A dim 2-4 config whose ket, density or basis holds extreme entries."""
+    n = draw(st.integers(2, 4))
+    field = draw(st.sampled_from(["state.ket", "state.density", "basis"]))
+    entries = np.eye(n, dtype=complex) if field != "state.ket" else np.eye(n, dtype=complex)[0]
+    if field == "state.density":
+        entries /= n
+    for _ in range(draw(st.integers(1, 3))):
+        value = draw(EXTREME) * draw(st.sampled_from([1, -1, 1j, -1j]))
+        index = tuple(draw(st.integers(0, n - 1)) for _ in range(entries.ndim))
+        entries[index] = value
+        if field == "state.density" and draw(st.booleans()):
+            # mirrored Hermitian, so the later checks run, or anti-Hermitian
+            sign = draw(st.sampled_from([1, -1]))
+            entries[index[::-1]] = sign * np.conj(value) if index[0] != index[1] else value.real
+    pairs = np.stack([entries.real, entries.imag], axis=-1).tolist()
+    config = {"dim": n, "state": {"ket": [[1, 0]] + [[0, 0]] * (n - 1)}, "n_trials": 50}
+    if field == "basis":
+        config["basis"] = pairs
+    else:
+        config["state"] = {field.split(".")[1]: pairs}
+    flags = draw(st.lists(st.sampled_from(["--dump-geometry", "--trace", "--oracle-check"]), unique=True))
+    if draw(st.booleans()):
+        flags += ["--partition", "1|" + ",".join(str(i) for i in range(2, n + 1))]
+    return config, flags
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_extreme_configs())
+@example(case=({"dim": 2, "state": {"density": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]}}, []))
+def test_extreme_magnitudes_exit_without_a_warning(tmp_path_factory, case):
+    config, flags = case
+    path = tmp_path_factory.mktemp("extreme") / "cfg.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(path), *flags]) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("state.ket", "ket is not unit-normalized: sum |psi_k|^2 = inf"), ("basis", "basis is not orthonormal")],
+)
+def test_entry_near_float_max_is_a_quiet_config_error(tmp_path, capsys, field, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _main_on(tmp_path, config_with_entry(field, 1e308)) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: {message}")

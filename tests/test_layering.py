@@ -14,6 +14,11 @@ Every [re, im] pair is read by one codec, ``serialize.pairs_to_array``:
 ``cli.py`` converts no config value with ``complex`` or ``float``, and no
 other library function builds complex numbers out of pairs, so no
 per-field conversion loop grows back.
+
+The square systems of the simplex in frame coordinates are built in
+``simplex.py`` alone, and determinants are taken there alone: the
+measure ratios and the oracle's solves read the same systems, and no
+module divides by a factorial, which overflows a float from 171!.
 """
 
 import ast
@@ -72,11 +77,15 @@ def _calls(tree: ast.AST):
     yield from visit(tree, "<module>")
 
 
+def _name(func: ast.expr) -> str | None:
+    return getattr(func, "attr", getattr(func, "id", None))
+
+
 def test_lambda_is_drawn_in_one_loop():
     sites = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for fn, call in _calls(ast.parse(path.read_text())):
-            if getattr(call.func, "attr", getattr(call.func, "id", None)) in LAMBDA_DRAWS:
+            if _name(call.func) in LAMBDA_DRAWS:
                 sites.add((path.name, fn))
     assert sites == DRAWERS
 
@@ -103,3 +112,25 @@ def test_pairs_are_read_by_one_codec():
         tree = ast.parse(path.read_text())
         sites |= {(path.name, fn) for fn, call in _calls(tree) if _builds_complex_from_pairs(call)}
     assert sites == {("serialize.py", "pairs_to_array")}
+
+
+def _takes_frame_coordinates(node: ast.AST) -> bool:
+    """``frame @ x`` or ``s.frame @ x``: a product that maps onto the frame."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and _name(node.left) == "frame")
+
+
+def test_frame_systems_and_determinants_live_in_simplex():
+    frame_products, determinants, factorials = set(), set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if any(_takes_frame_coordinates(node) for node in ast.walk(tree)):
+            frame_products.add(path.name)
+        for fn, call in _calls(tree):
+            if _name(call.func) in ("det", "slogdet"):
+                determinants.add((path.name, fn))
+            if _name(call.func) == "factorial":
+                factorials.add((path.name, fn))
+    assert frame_products == {"simplex.py"}
+    assert determinants == {("simplex.py", "basis_to_simplex"), ("simplex.py", "subregion_ratios")}
+    assert factorials == set()

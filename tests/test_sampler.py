@@ -25,7 +25,6 @@ from blochsim import (
     ket_to_density,
     measure_degenerate,
     measure_once,
-    merge_reports,
     purity,
     run_trials,
     sample_lambda,
@@ -267,23 +266,6 @@ class TestRunTrials:
         np.testing.assert_array_equal(whole.counts, [30000])
         assert whole.exact_probs.weights.tolist() == [p[[0, 1, 2]].sum()]
         assert whole.chi_square == whole.max_abs_deviation == 0.0
-
-    def test_merge_reports_sums_counts(self):
-        parts = [
-            run_trials(standard_state_3(), B3, 10000, RngSeed(5, stream=s)) for s in range(3)
-        ]
-        merged = merge_reports(parts)
-        assert merged.n_trials == 30000
-        np.testing.assert_array_equal(merged.counts, np.sum([r.counts for r in parts], axis=0))
-        np.testing.assert_array_equal(
-            merged.empirical_freqs, merged.counts / merged.n_trials
-        )
-
-    def test_merge_rejects_mismatched_probabilities(self):
-        a = run_trials(standard_state_3(), B3, 100, RngSeed(1))
-        b = run_trials(B3.projector(0), B3, 100, RngSeed(1))
-        with pytest.raises(ContractError):
-            merge_reports([a, b])
 
     def test_malformed_partition_rejected_before_any_draw(self, monkeypatch):
         def no_draws(*args):

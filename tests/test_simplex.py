@@ -21,7 +21,7 @@ from blochsim import (
     project_onto_simplex,
     reduce_state,
     run_trials,
-    subregion_measures,
+    subregion_ratios,
     to_bloch,
 )
 from blochsim.simplex import _gram_schmidt, affine_coordinates
@@ -239,26 +239,27 @@ class TestBornProbabilities:
 
 class TestSubregionMeasures:
     def test_centroid_splits_evenly(self, s3):
-        mus = subregion_measures(BlochVector(3, s3.centroid), s3)
-        np.testing.assert_allclose(mus, np.full(3, s3.total_measure / 3), atol=1e-12)
+        ratios = subregion_ratios(BlochVector(3, s3.centroid), s3)
+        np.testing.assert_allclose(ratios, np.full(3, 1 / 3), rtol=0, atol=1e-13)
 
     def test_vertex_degenerates(self, s3):
-        mus = subregion_measures(BlochVector(3, s3.vertices[0]), s3)
-        assert mus[0] == pytest.approx(s3.total_measure, abs=1e-12)
-        np.testing.assert_allclose(mus[1:], 0.0, atol=1e-12)
+        ratios = subregion_ratios(BlochVector(3, s3.vertices[0]), s3)
+        assert ratios[0] == pytest.approx(1.0, abs=1e-13)
+        np.testing.assert_allclose(ratios[1:], 0.0, atol=1e-13)
 
     def test_ratios_equal_barycentric_weights(self, s3):
         rpar = project_onto_simplex(to_bloch(standard_state_3()), s3)
-        mus = subregion_measures(rpar, s3)
-        np.testing.assert_allclose(mus / s3.total_measure, [0.5, 0.3, 0.2], atol=1e-10)
+        ratios = subregion_ratios(rpar, s3)
+        np.testing.assert_allclose(ratios, [0.5, 0.3, 0.2], rtol=0, atol=1e-13)
 
     def test_against_cayley_menger(self, s3):
         rpar = project_onto_simplex(to_bloch(standard_state_3()), s3)
-        mus = subregion_measures(rpar, s3)
+        ratios = subregion_ratios(rpar, s3)
+        whole = cm_measure(s3.vertices)
         for i in range(3):
             verts = s3.vertices.copy()
             verts[i] = rpar.coords
-            assert mus[i] == pytest.approx(cm_measure(verts), abs=1e-12)
+            assert ratios[i] == pytest.approx(cm_measure(verts) / whole, abs=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_additivity(self, n):
@@ -267,10 +268,18 @@ class TestSubregionMeasures:
         s = basis_to_simplex(b)
         for _ in range(50):
             rpar = project_onto_simplex(to_bloch(ket_to_density(random_ket(rng, n))), s)
-            mus = subregion_measures(rpar, s)
-            assert abs(mus.sum() - s.total_measure) <= 1e-10
+            assert abs(subregion_ratios(rpar, s).sum() - 1.0) <= 1e-13
 
     def test_outside_point_rejected(self, s3):
         outside = BlochVector(3, 1.2 * s3.vertices[0] - 0.2 * s3.vertices[1])
         with pytest.raises(GeometryError):
-            subregion_measures(outside, s3)
+            subregion_ratios(outside, s3)
+
+
+def test_simplex_beyond_the_factorial_range():
+    # (N-1)! overflows a float from N = 172; the measure is taken in logarithms
+    s = canonical_simplex(172)
+    assert s.total_measure == pytest.approx(1.7398e-308, rel=1e-4)
+    p = np.random.default_rng(172).dirichlet(np.ones(172))
+    ratios = subregion_ratios(BlochVector(172, p @ s.vertices), s)
+    np.testing.assert_allclose(ratios, p, rtol=0, atol=1e-13)

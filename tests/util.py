@@ -1,8 +1,8 @@
 """Shared helpers: random state generation and independent geometry oracles.
 
 The Cayley-Menger measure here is deliberately a different formula from
-the production Gram-determinant path, so the two can cross-check each
-other.
+the production path, determinants of square frame systems, so the two
+can cross-check each other.
 """
 
 from __future__ import annotations
