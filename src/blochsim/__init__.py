@@ -7,17 +7,7 @@ builds the representation, verifies the measure-ratio identity, and
 simulates the collapse by uniformly sampling hidden interaction points.
 """
 
-from .bloch import (
-    BlochVector,
-    DensityMatrix,
-    Ket,
-    StateValidity,
-    from_bloch,
-    is_valid_state,
-    ket_to_density,
-    purity,
-    to_bloch,
-)
+from .bloch import BlochVector, DensityMatrix, Ket, from_bloch, ket_to_density, to_bloch
 from .collapse import ProcessStage, ProcessTrace, reduce_state, run_measurement
 from .errors import (
     BasisError,
@@ -29,13 +19,7 @@ from .errors import (
     NormalizationError,
     OracleInconsistencyError,
 )
-from .generators import (
-    GeneratorSet,
-    InvariantCheck,
-    ValidationReport,
-    build_generators,
-    verify_generator_set,
-)
+from .generators import build_generators, verify_generator_set
 from .sampler import (
     OracleReport,
     RngSeed,
@@ -70,9 +54,7 @@ __all__ = [
     "ContractError",
     "DensityMatrix",
     "DimensionError",
-    "GeneratorSet",
     "GeometryError",
-    "InvariantCheck",
     "Ket",
     "MeasurementBasis",
     "MeasurementSimplex",
@@ -82,9 +64,7 @@ __all__ = [
     "ProcessStage",
     "ProcessTrace",
     "RngSeed",
-    "StateValidity",
     "TrialReport",
-    "ValidationReport",
     "barycentric_of",
     "basis_to_simplex",
     "born_probabilities",
@@ -92,12 +72,10 @@ __all__ = [
     "classify",
     "from_bloch",
     "geometric_hit_count_oracle",
-    "is_valid_state",
     "ket_to_density",
     "measure_degenerate",
     "measure_once",
     "project_onto_simplex",
-    "purity",
     "reduce_state",
     "run_measurement",
     "run_trials",

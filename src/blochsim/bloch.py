@@ -7,9 +7,9 @@ N^2 - 1 through
 
 where the L_i are the SU(N) generators of :mod:`blochsim.generators`.
 Pure states sit on the unit sphere ||r|| = 1; mixed states lie inside.
-For N >= 3 the unit ball is not completely filled with states: validity
-of a vector is a positive-semidefiniteness test on D(r), exposed by
-:func:`is_valid_state`.
+For N >= 3 the unit ball is not completely filled with states: r is a
+state iff D(r) is positive semidefinite, which
+``from_bloch(r).is_positive_semidefinite()`` tests.
 
 The forward map needs no generator matrices. The generator ordering
 gives each trace Tr(D L_j) in closed form:
@@ -38,8 +38,9 @@ The inverse map writes D(r) entry by entry in the same ordering:
 
 with r_s, r_a the symmetric and antisymmetric coordinates of the pair
 (j, k) and r_k the k-th diagonal coordinate. Neither direction builds the
-generator matrices; :mod:`blochsim.generators` defines the convention and
-serves as the reference the closed forms are tested against.
+generator matrices; the tensor of :func:`blochsim.generators.build_generators`
+defines the convention and serves as the reference the closed forms are
+tested against.
 
 All values here are immutable and all operations are pure functions.
 """
@@ -48,8 +49,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,16 @@ from .tolerances import ALGEBRA_TOL, EIGEN_TOL
 
 #: Bound on |Im Tr(D L_j)| for a matrix that construction accepted (module docstring).
 _TRACE_IMAG_TOL = math.sqrt(2.0) * ALGEBRA_TOL
+
+
+def _as_integer(value, what: str) -> int:
+    """``value`` as an int; a non-integer or a bool is a ContractError, not a TypeError."""
+    if isinstance(value, bool):
+        raise ContractError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,7 @@ class DensityMatrix:
     Hermiticity and unit trace are enforced at construction (to 1e-12).
     Positive semidefiniteness is deliberately *not* enforced here: vectors
     outside the state region still reconstruct to Hermitian unit-trace
-    matrices, and membership is queried via :func:`is_valid_state`.
+    matrices, and membership is queried via :meth:`is_positive_semidefinite`.
     """
 
     entries: np.ndarray
@@ -133,39 +144,33 @@ class DensityMatrix:
 class BlochVector:
     """A real vector of length N^2 - 1 in the generalized Bloch ball.
 
-    ``dim`` is the Hilbert-space dimension N, not the coordinate count.
-    Coordinates must be finite. Norm constraints are not enforced at
-    construction; vectors outside the unit ball are legal inputs to the
-    validity test.
+    ``dim`` is the Hilbert-space dimension N, not the coordinate count: an
+    integer (not a bool), stored as a Python ``int``. Coordinates must be
+    finite. Norm constraints are not enforced at construction; vectors
+    outside the unit ball are legal inputs to ``from_bloch``.
     """
 
     dim: int
     coords: np.ndarray
 
     def __post_init__(self):
+        n = _as_integer(self.dim, "Bloch vector dim")
         c = np.array(self.coords, dtype=np.float64, order="C")
-        if self.dim < 2:
-            raise DimensionError(f"Bloch vector needs dim >= 2, got {self.dim}")
-        if c.shape != (self.dim**2 - 1,):
+        if n < 2:
+            raise DimensionError(f"Bloch vector needs dim >= 2, got {n}")
+        if c.shape != (n**2 - 1,):
             raise DimensionError(
-                f"Bloch vector for dim {self.dim} needs {self.dim ** 2 - 1} coordinates, "
-                f"got shape {c.shape}"
+                f"Bloch vector for dim {n} needs {n ** 2 - 1} coordinates, got shape {c.shape}"
             )
         if not np.isfinite(c).all():
             raise ContractError("Bloch vector has non-finite coordinates")
         c.setflags(write=False)
+        object.__setattr__(self, "dim", n)
         object.__setattr__(self, "coords", c)
 
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
-
-
-class StateValidity(NamedTuple):
-    """Result of the positive-semidefiniteness membership test."""
-
-    valid: bool
-    min_eigenvalue: float
 
 
 def radius_scale(n: int) -> float:
@@ -249,8 +254,8 @@ def from_bloch(r: BlochVector) -> DensityMatrix:
 
     Entries come from the inverse closed form in the module docstring.
     Always yields a Hermitian unit-trace matrix; whether it is an actual
-    state (positive semidefinite) is a separate question answered by
-    :func:`is_valid_state`.
+    state is a separate question answered by
+    :meth:`DensityMatrix.is_positive_semidefinite`.
     """
     n = r.dim
     gather, scales, last = _plan(n)
@@ -264,19 +269,3 @@ def from_bloch(r: BlochVector) -> DensityMatrix:
     d = np.empty(n * n, dtype=np.complex128)
     d[gather] = np.concatenate([upper, upper.conj(), 1.0 + c * weighted])
     return DensityMatrix(d.reshape(n, n) / n)
-
-
-def is_valid_state(r: BlochVector) -> StateValidity:
-    """Whether r lies in the state region (D(r) positive semidefinite).
-
-    Returns the minimum eigenvalue alongside the verdict for diagnostics;
-    the threshold is -1e-10 to absorb eigensolver rounding on boundary
-    states.
-    """
-    w = from_bloch(r).min_eigenvalue()
-    return StateValidity(valid=w >= -EIGEN_TOL, min_eigenvalue=w)
-
-
-def purity(d: DensityMatrix) -> float:
-    """Tr(D^2), in [1/N, 1]; equals (1 + (N-1) ||r||^2) / N."""
-    return float(np.einsum("ij,ji->", d.entries, d.entries).real)

@@ -19,95 +19,28 @@ permutation of the textbook Gell-Mann numbering: our order corresponds to
 lambda_8).
 
 The dense (N^2 - 1, N, N) tensor is 16.7 MB at N=32 and is built anew
-by each :func:`build_generators` call. No other module of the library
-uses it: the Bloch maps in both directions and the measurement simplex
-use the closed forms of :mod:`blochsim.bloch`, in this module's ordering.
-The set defines that convention, and :func:`verify_generator_set` checks
-it; the tests compare the closed forms against a contraction with it.
-
-A :class:`GeneratorSet` is immutable after construction and safe to share
-across threads.
+by each :func:`build_generators` call, which returns it as a read-only
+complex array. No other module of the library uses it: the Bloch maps in
+both directions and the measurement simplex use the closed forms of
+:mod:`blochsim.bloch`, in this module's ordering. The tensor defines that
+convention, and :func:`verify_generator_set` checks it; the tests compare
+the closed forms against a contraction with it (Bertlmann & Krammer,
+"Bloch vectors for qudits", J. Phys. A 41, 235303 (2008)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DimensionError
-from .tolerances import ALGEBRA_TOL
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """An ordered set of SU(N) generators.
+def build_generators(n: int) -> np.ndarray:
+    """The generalized Gell-Mann generators of SU(n), shape (n^2 - 1, n, n).
 
-    Attributes
-    ----------
-    dim : int
-        Hilbert-space dimension N (>= 2).
-    matrices : np.ndarray
-        Complex array of shape (N^2 - 1, N, N); ``matrices[i]`` is L_i.
-        The array is read-only.
-    """
-
-    dim: int
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise DimensionError(f"generator set needs dim >= 2, got {self.dim}")
-        mats = np.asarray(self.matrices, dtype=np.complex128)
-        expected = (self.dim**2 - 1, self.dim, self.dim)
-        if mats.shape != expected:
-            raise DimensionError(
-                f"generator array has shape {mats.shape}, expected {expected}"
-            )
-        mats = mats.copy()
-        mats.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
-
-    def __len__(self) -> int:
-        return self.matrices.shape[0]
-
-
-@dataclass(frozen=True)
-class InvariantCheck:
-    """Residual of one generator-set invariant against its tolerance."""
-
-    name: str
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-invariant residual report produced by :func:`verify_generator_set`."""
-
-    checks: tuple[InvariantCheck, ...] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> InvariantCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def build_generators(n: int) -> GeneratorSet:
-    """Return the generalized Gell-Mann generator set for SU(n).
-
-    The n^2 - 1 matrices are Hermitian, traceless and satisfy
-    Tr(L_i L_j) = 2 delta_ij, in the ordering documented in the module
-    docstring.
+    ``build_generators(n)[i]`` is L_i. The n^2 - 1 matrices are Hermitian,
+    traceless and satisfy Tr(L_i L_j) = 2 delta_ij, in the ordering
+    documented in the module docstring. The complex array is read-only.
 
     Raises
     ------
@@ -135,33 +68,23 @@ def build_generators(n: int) -> GeneratorSet:
         mats[idx, k, k] = -scale * k
         idx += 1
 
-    return GeneratorSet(dim=n, matrices=mats)
+    mats.setflags(write=False)
+    return mats
 
 
-def verify_generator_set(g: GeneratorSet) -> ValidationReport:
-    """Check the three defining invariants and report max residuals.
-
-    Residuals:
+def verify_generator_set(mats: np.ndarray) -> dict[str, float]:
+    """Max residual of each defining invariant of a stack of matrices (K, N, N).
 
     * hermiticity:    max |L_i - L_i^dagger| entrywise
     * trace:          max |Tr L_i|
     * orthonormality: max |Tr(L_i L_j) - 2 delta_ij|
 
-    The report passes iff every residual is <= 1e-12.
+    A generator set has every residual <= ``tolerances.ALGEBRA_TOL`` (1e-12).
     """
-    mats = g.matrices
     herm = float(np.max(np.abs(mats - mats.conj().transpose(0, 2, 1))))
     trace = float(np.max(np.abs(np.trace(mats, axis1=1, axis2=2))))
 
     gram = np.einsum("aij,bji->ab", mats, mats)
-    target = 2.0 * np.eye(len(g))
-    ortho = float(np.max(np.abs(gram - target)))
-
-    return ValidationReport(
-        checks=(
-            InvariantCheck("hermiticity", herm, ALGEBRA_TOL),
-            InvariantCheck("trace", trace, ALGEBRA_TOL),
-            InvariantCheck("orthonormality", ortho, ALGEBRA_TOL),
-        )
-    )
+    ortho = float(np.max(np.abs(gram - 2.0 * np.eye(len(mats)))))
+    return {"hermiticity": herm, "trace": trace, "orthonormality": ortho}
 

@@ -116,12 +116,11 @@ Ties (boundary lambdas, measure zero) break to the smallest index.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import DensityMatrix
+from .bloch import DensityMatrix, _as_integer
 from .errors import ContractError, DimensionError, GeometryError, OracleInconsistencyError
 from .simplex import (
     Barycentric,
@@ -149,16 +148,6 @@ _ORACLE_MIN_BLOCK = 256
 #: many outcomes of positive Born weight, and divides the whole block and
 #: tallies its argmin from it on (see the module docstring).
 _RACE_BELOW_SUPPORT = 22
-
-
-def _as_integer(value, what: str) -> int:
-    """``value`` as an int; a non-integer or a bool is a ContractError, not a TypeError."""
-    if isinstance(value, bool):
-        raise ContractError(f"{what} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ContractError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _trial_count(value, what: str) -> int:

@@ -16,6 +16,8 @@ with mu the Lebesgue measure. :func:`subregion_ratios` computes the
 left-hand side as |det S_i| / |det S|, S and S_i the square systems of
 the simplex and of A_i in frame coordinates, which ``_frame_systems``
 alone builds; :func:`born_probabilities` the right-hand side from traces.
+A :class:`MeasurementSimplex` stores its vertices, centroid and frame;
+its total measure is derived from them on request, from the same system S.
 """
 
 from __future__ import annotations
@@ -118,22 +120,30 @@ class MeasurementSimplex:
         the edges (n_i - n_N), with each row's sign set so that R has a
         positive diagonal. That is Gram-Schmidt on the edges in order, up
         to rounding.
-    total_measure : float
-        Lebesgue measure of the simplex in the embedding's Euclidean
-        metric; subnormal from N = 172, and never read by the ratios.
     """
 
     dim: int
     vertices: np.ndarray
     centroid: np.ndarray
     frame: np.ndarray
-    total_measure: float
 
     def __post_init__(self):
         for name in ("vertices", "centroid", "frame"):
             a = np.array(getattr(self, name), dtype=np.float64, order="C")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    @property
+    def total_measure(self) -> float:
+        """Lebesgue measure of the simplex in the embedding's Euclidean metric.
+
+        |det S| / (N-1)!, taken as a log so that neither factor overflows;
+        subnormal from N = 172, and never read by the ratios.
+        """
+        # column-major like _gram_schmidt's frame: matmul rounds by layout, and reports print the bits
+        frame = np.asfortranarray(self.frame)
+        _, logdet = np.linalg.slogdet(_frame_systems(self.vertices, self.centroid, frame))
+        return math.exp(logdet - math.lgamma(self.dim))
 
 
 def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
@@ -159,11 +169,7 @@ def basis_to_simplex(b: MeasurementBasis) -> MeasurementSimplex:
     vertices = _bloch_rows(kets[:, :, None] * kets.conj()[:, None, :])
     centroid = vertices.mean(axis=0)
     frame = _gram_schmidt(vertices[:-1] - vertices[-1])
-    _, logdet = np.linalg.slogdet(_frame_systems(vertices, centroid, frame))
-    total = math.exp(logdet - math.lgamma(n))
-    return MeasurementSimplex(
-        dim=n, vertices=vertices, centroid=centroid, frame=frame, total_measure=total
-    )
+    return MeasurementSimplex(dim=n, vertices=vertices, centroid=centroid, frame=frame)
 
 
 def _frame_systems(vertices, centroid, frame, point=None) -> np.ndarray:

@@ -9,13 +9,11 @@ from blochsim import (
     Ket,
     NormalizationError,
     from_bloch,
-    is_valid_state,
     ket_to_density,
-    purity,
     to_bloch,
 )
 from blochsim.bloch import _TRACE_IMAG_TOL, _traces_to_coords
-from util import random_density, random_ket
+from util import purity, random_density, random_ket
 
 
 class TestKet:
@@ -104,24 +102,25 @@ class TestFromBloch:
 
 
 class TestIsValidState:
+    """A Bloch vector is a state iff D(r) is positive semidefinite."""
+
     @pytest.mark.parametrize("radius", [0.0, 0.3, 0.999999, 1.0])
     def test_qubit_ball_is_filled(self, radius):
         rng = np.random.default_rng(7)
         for _ in range(20):
             v = rng.standard_normal(3)
             v = radius * v / np.linalg.norm(v)
-            assert is_valid_state(BlochVector(2, v)).valid
+            assert from_bloch(BlochVector(2, v)).is_positive_semidefinite()
 
     def test_outside_unit_ball_is_invalid(self):
         v = np.array([1.5, 0.0, 0.0])
-        verdict = is_valid_state(BlochVector(2, v))
-        assert not verdict.valid
+        assert not from_bloch(BlochVector(2, v)).is_positive_semidefinite()
 
     def test_vertex_antipode_is_invalid_for_three_levels(self):
         n1 = to_bloch(DensityMatrix(np.diag([1.0, 0.0, 0.0])))
-        verdict = is_valid_state(BlochVector(3, -n1.coords))
-        assert not verdict.valid
-        assert verdict.min_eigenvalue == pytest.approx(-1 / 3, abs=1e-12)
+        d = from_bloch(BlochVector(3, -n1.coords))
+        assert not d.is_positive_semidefinite()
+        assert d.min_eigenvalue() == pytest.approx(-1 / 3, abs=1e-12)
 
 
 class TestPurity:

@@ -36,9 +36,9 @@ generators = functools.cache(build_generators)
 
 
 def reference_to_bloch(d, g):
-    if g.dim != d.dim:
-        raise DimensionError(f"generator set has dim {g.dim} but state has dim {d.dim}")
-    traces = np.einsum("ij,kji->k", d.entries, g.matrices)
+    if g.shape[-1] != d.dim:
+        raise DimensionError(f"generator set has dim {g.shape[-1]} but state has dim {d.dim}")
+    traces = np.einsum("ij,kji->k", d.entries, g)
     imag = float(np.max(np.abs(traces.imag)))
     if not imag <= ALGEBRA_TOL:
         raise ContractError(f"Tr(D L_j) has imaginary residual {imag:.3e} > {ALGEBRA_TOL}")
@@ -49,7 +49,7 @@ def reference_to_bloch(d, g):
 
 def reference_from_bloch(r):
     n = r.dim
-    return (np.eye(n) + radius_scale(n) * np.tensordot(r.coords, generators(n).matrices, axes=1)) / n
+    return (np.eye(n) + radius_scale(n) * np.tensordot(r.coords, generators(n), axes=1)) / n
 
 
 def bits(x) -> np.ndarray:

@@ -13,7 +13,6 @@ from blochsim import (
     born_probabilities,
     ket_to_density,
     project_onto_simplex,
-    purity,
     reduce_state,
     run_measurement,
     measure_degenerate,

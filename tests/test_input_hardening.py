@@ -26,6 +26,7 @@ from blochsim import (
     MeasurementBasis,
     NormalizationError,
     RngSeed,
+    from_bloch,
     geometric_hit_count_oracle,
     run_trials,
 )
@@ -113,6 +114,19 @@ class TestIntegerCounts:
         b = MeasurementBasis.canonical(3)
         report = run_trials(standard_state_3(), b, np.int64(10), RngSeed(np.uint64(3)))
         assert report.n_trials == 10
+
+    @pytest.mark.parametrize("dim", [2.0, "2", None, True])
+    def test_non_integer_bloch_vector_dim(self, dim):
+        with pytest.raises(ContractError, match="Bloch vector dim must be an integer"):
+            BlochVector(dim, [0.0, 0.0, 1.0])
+
+    def test_numpy_dim_after_a_float_attempt(self):
+        # a float dim once reached the cached index plan under the key np.int64(2) hits
+        with pytest.raises(ContractError):
+            from_bloch(BlochVector(2.0, [0.0, 0.0, 1.0]))
+        r = BlochVector(np.int64(2), [0.0, 0.0, 1.0])
+        assert type(r.dim) is int
+        np.testing.assert_array_equal(from_bloch(r).entries, np.diag([1.0, 0.0]))
 
 
 def _main_on(tmp_path, text: str, *flags: str) -> int:

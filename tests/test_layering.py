@@ -132,5 +132,5 @@ def test_frame_systems_and_determinants_live_in_simplex():
             if _name(call.func) == "factorial":
                 factorials.add((path.name, fn))
     assert frame_products == {"simplex.py"}
-    assert determinants == {("simplex.py", "basis_to_simplex"), ("simplex.py", "subregion_ratios")}
+    assert determinants == {("simplex.py", "total_measure"), ("simplex.py", "subregion_ratios")}
     assert factorials == set()

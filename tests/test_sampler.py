@@ -25,14 +25,13 @@ from blochsim import (
     ket_to_density,
     measure_degenerate,
     measure_once,
-    purity,
     run_trials,
     sample_lambda,
     to_bloch,
     validate_partition,
 )
 from blochsim import sampler
-from util import cm_measure, random_ket, standard_state_3
+from util import cm_measure, purity, random_ket, standard_state_3
 
 B3 = MeasurementBasis.canonical(3)
 B2 = MeasurementBasis.canonical(2)

@@ -1,4 +1,4 @@
-"""Shared helpers: random state generation and independent geometry oracles.
+"""Shared helpers: random state generation, purity and independent geometry oracles.
 
 The Cayley-Menger measure here is deliberately a different formula from
 the production path, determinants of square frame systems, so the two
@@ -44,6 +44,11 @@ def random_interior_barycentric(rng: np.random.Generator, n: int, margin: float 
     w /= w.sum()
     w = (1 - n * margin) * w + margin
     return Barycentric(w)
+
+
+def purity(d: DensityMatrix) -> float:
+    """Tr(D^2), in [1/N, 1]; equals (1 + (N-1) ||r||^2) / N."""
+    return float(np.einsum("ij,ji->", d.entries, d.entries).real)
 
 
 def cm_measure(vertices: np.ndarray) -> float:
