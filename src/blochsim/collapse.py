@@ -11,6 +11,11 @@ A run produces an inspectable trace of snapshots:
 * ``purified``  degenerate runs only: the Lueders post-state, back on the
                 sphere surface for pure inputs.
 
+A stage stores its density matrix; ``stage.vector`` maps it to Bloch
+coordinates on access, so a run that reads only outcomes and densities
+computes no Bloch vector. In the computational basis the reduced state
+is the diagonal of the Born weights, built without a contraction.
+
 Snapshots are discrete; the dynamics between them is not modeled.
 """
 
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochVector, DensityMatrix, _bloch_rows
+from .bloch import BlochVector, DensityMatrix, to_bloch
 from .sampler import (
     Barycentric,
     RngSeed,
@@ -34,11 +39,14 @@ from .simplex import MeasurementBasis, born_probabilities
 
 @dataclass(frozen=True)
 class ProcessStage:
-    """One snapshot: label plus the state in both representations."""
+    """One snapshot: label plus the state; its Bloch vector is mapped on access."""
 
     label: str
-    vector: BlochVector
     density: DensityMatrix
+
+    @property
+    def vector(self) -> BlochVector:
+        return to_bloch(self.density)
 
 
 @dataclass(frozen=True)
@@ -74,13 +82,25 @@ def _diagonal(p: np.ndarray, kets: np.ndarray) -> DensityMatrix:
     return DensityMatrix(np.einsum("ji,jk->ik", p[:, None] * kets, kets.conj()))
 
 
+def _reduced(p: np.ndarray, b: MeasurementBasis) -> DensityMatrix:
+    """sum_j p_j |a_j><a_j| over the whole basis.
+
+    In the computational basis that is diag(p + 0.0): the contraction adds
+    one nonzero term to each diagonal entry and signed zeros elsewhere,
+    all onto +0.0, so the bits are the same.
+    """
+    if b._is_identity:
+        return DensityMatrix(np.diag(p + 0.0))
+    return _diagonal(p, b.kets)
+
+
 def reduce_state(d: DensityMatrix, b: MeasurementBasis) -> DensityMatrix:
     """The fully reduced state sum_j <a_j|D|a_j> |a_j><a_j|.
 
     Diagonal in the measurement basis, idempotent, and Bloch-equivalent
     to the orthogonal projection of D's vector onto the simplex.
     """
-    return _diagonal(born_probabilities(d, b).weights, b.kets)
+    return _reduced(born_probabilities(d, b).weights, b)
 
 
 def run_measurement(
@@ -99,7 +119,7 @@ def run_measurement(
     """
     p = born_probabilities(d, b)
     n = d.dim
-    reduced = _diagonal(p.weights, b.kets)
+    reduced = _reduced(p.weights, b)
     lam = sample_lambda(n, seed.generator())
     i = classify(lam, p)
 
@@ -113,9 +133,5 @@ def run_measurement(
         labels = ("initial", "reduced", "collapsed", "purified")
         densities = (d, reduced, _diagonal(on_block, b.kets[members]), purified)
 
-    rows = _bloch_rows(np.stack([rho.entries for rho in densities]))
-    stages = tuple(
-        ProcessStage(label, BlochVector(dim=n, coords=r), rho)
-        for label, r, rho in zip(labels, rows, densities)
-    )
+    stages = tuple(ProcessStage(label, rho) for label, rho in zip(labels, densities))
     return ProcessTrace(stages=stages, outcome=outcome, lambda_point=lam)

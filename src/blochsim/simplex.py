@@ -15,7 +15,8 @@ sub-simplexes A_i (replace vertex n_i by r_par), and
 with mu the Lebesgue measure. :func:`subregion_ratios` computes the
 left-hand side as |det S_i| / |det S|, S and S_i the square systems of
 the simplex and of A_i in frame coordinates, which ``_frame_systems``
-alone builds; :func:`born_probabilities` the right-hand side from traces.
+alone builds; :func:`born_probabilities` the right-hand side from traces,
+read off the diagonal of D when the basis is the computational one.
 A :class:`MeasurementSimplex` stores its vertices, centroid and frame;
 its total measure is derived from them on request, from the same system S.
 """
@@ -23,11 +24,11 @@ its total measure is derived from them on request, from the same system S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochVector, DensityMatrix, Ket, _bloch_rows, ket_to_density
+from .bloch import BlochVector, DensityMatrix, _bloch_rows
 from .errors import BasisError, ContractError, DimensionError, GeometryError
 from .tolerances import ALGEBRA_TOL, BOUNDARY_TOL, HULL_TOL
 
@@ -36,10 +37,14 @@ from .tolerances import ALGEBRA_TOL, BOUNDARY_TOL, HULL_TOL
 class MeasurementBasis:
     """N orthonormal kets defining a non-degenerate projective measurement.
 
-    ``kets[i]`` is the i-th basis vector |a_i>.
+    ``kets[i]`` is the i-th basis vector |a_i>. ``_is_identity`` records,
+    once, whether the validated kets equal the identity exactly (signed
+    zeros compare equal): the computational basis, whose Born weights and
+    reduced state are read off the diagonal.
     """
 
     kets: np.ndarray
+    _is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.array(self.kets, dtype=np.complex128, order="C")
@@ -54,6 +59,7 @@ class MeasurementBasis:
             raise BasisError(f"basis is not orthonormal: max |<a_i|a_j> - delta_ij| = {resid:.3e}")
         k.setflags(write=False)
         object.__setattr__(self, "kets", k)
+        object.__setattr__(self, "_is_identity", bool((k == np.eye(k.shape[0])).all()))
 
     @property
     def dim(self) -> int:
@@ -64,11 +70,10 @@ class MeasurementBasis:
         """The canonical (computational) basis of dimension n."""
         return cls(np.eye(n, dtype=np.complex128))
 
-    def ket(self, i: int) -> Ket:
-        return Ket(self.kets[i])
-
     def projector(self, i: int) -> DensityMatrix:
-        return ket_to_density(self.ket(i))
+        """|a_i><a_i|, the outer product ``ket_to_density`` forms, from the validated row."""
+        a = self.kets[i]
+        return DensityMatrix(np.outer(a, a.conj()))
 
 
 @dataclass(frozen=True)
@@ -256,10 +261,17 @@ def born_probabilities(d: DensityMatrix, b: MeasurementBasis) -> Barycentric:
     anti-Hermitian part of D with entries up to 5e-13, and <a|D|a> sums
     it over all N^2 entries, so its imaginary part reaches
     5e-13 (sum_j |a_j|)^2 <= N * 5e-13 for a unit ket a.
+
+    In the computational basis every term of the contraction but
+    D_ii is a signed zero, summed onto +0.0, so the diagonal plus 0.0
+    (which turns -0.0 into +0.0) is the contraction bit for bit.
     """
     if d.dim != b.dim:
         raise DimensionError(f"state has dim {d.dim} but basis has dim {b.dim}")
-    p = np.einsum("ij,jk,ik->i", b.kets.conj(), d.entries, b.kets)
+    if b._is_identity:
+        p = np.diagonal(d.entries) + 0.0
+    else:
+        p = np.einsum("ij,jk,ik->i", b.kets.conj(), d.entries, b.kets)
     imag = float(np.abs(p.imag).max())
     bound = d.dim * ALGEBRA_TOL
     if not imag <= bound:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blochsim.bloch
 from blochsim import (
     DensityMatrix,
     DimensionError,
@@ -20,7 +21,7 @@ from blochsim import (
     run_trials,
     to_bloch,
 )
-from blochsim.collapse import _diagonal
+from blochsim.collapse import _diagonal, _reduced
 from util import projector_mixture, random_basis, random_density, random_ket, standard_state_3
 
 B3 = MeasurementBasis.canonical(3)
@@ -105,6 +106,108 @@ def test_diagonal_is_bitwise_the_three_operand_einsum(n):
                 expected = np.einsum("j,ji,jk->ik", w, k, k.conj())
                 got = _diagonal(w, k).entries
                 np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _signed_zeros(rng, m: np.ndarray) -> np.ndarray:
+    """m with about half of its zero real and imaginary parts turned into -0.0."""
+    m = m.copy()
+    for part in (m.real, m.imag):
+        part[(part == 0) & (rng.random(m.shape) < 0.5)] = -0.0
+    return m
+
+
+def _identity_kets(rng, n):
+    """The identity, with -0.0 on some zeros, and with (1, -0.0) on the diagonal."""
+    eye = np.eye(n, dtype=complex)
+    yield eye
+    yield _signed_zeros(rng, eye)
+    negative_imag = eye.copy()
+    negative_imag.imag[np.diag_indices(n)] = -0.0
+    yield negative_imag
+
+
+def _diagonal_densities(rng, n):
+    """Densities whose diagonals have -0.0, zero, subnormal, negative and imaginary entries."""
+    yield random_density(rng, n).entries
+    yield _signed_zeros(rng, np.diag(rng.dirichlet(np.ones(n))).astype(complex))
+    a = random_ket(rng, n).amplitudes.copy()
+    a[rng.permutation(n)[: n // 2]] = 0.0  # a boundary state: zero rows, columns and diagonal
+    yield _signed_zeros(rng, np.outer(a, a.conj()) / np.vdot(a, a).real)
+    w = rng.dirichlet(np.ones(n))
+    w[0], w[1:-1] = 5e-324, -3e-13  # a subnormal weight and negative rounding residuals
+    w[-1] += 1.0 - w.sum()
+    yield np.diag(w).astype(complex)
+    tilted = random_density(rng, n).entries.copy()
+    tilted.imag[np.diag_indices(n)] = -0.0
+    tilted[0, 0] += 4e-13j  # an imaginary diagonal residual the checks accept
+    yield tilted
+
+
+def _weights_with_signed_zeros(rng, n):
+    """Born-like weights with -0.0 entries, and one with a -3e-13 residual."""
+    w = rng.dirichlet(np.ones(n))
+    w[rng.permutation(n)[: n // 2]] = -0.0
+    yield w / w.sum()
+    w = rng.dirichlet(np.ones(n))
+    w[-1] = -3e-13
+    w[0] += 1.0 - w.sum()
+    yield w
+
+
+def _reference_born(kets: np.ndarray, d: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,jk,ik->i", kets.conj(), d, kets)
+
+
+def _reference_reduced(p: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    return np.einsum("ji,jk->ik", p[:, None] * kets, kets.conj())
+
+
+def _same_bits(got: np.ndarray, expected: np.ndarray) -> None:
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+def test_computational_basis_is_bitwise_the_general_contraction(n):
+    rng = np.random.default_rng(1900 + n)
+    one_ulp_off = np.eye(n, dtype=complex)
+    one_ulp_off[0, 0] = np.nextafter(1.0, 0.0)
+    cases = [(k, True) for k in _identity_kets(rng, n)] + [(one_ulp_off, False)]
+    for kets, fast in cases:
+        b = MeasurementBasis(kets)
+        assert b._is_identity is fast
+        for entries in _diagonal_densities(rng, n):
+            d = DensityMatrix(entries)
+            p = _reference_born(b.kets, d.entries)
+            _same_bits(born_probabilities(d, b).weights, p.real)
+            _same_bits(reduce_state(d, b).entries, _reference_reduced(p.real, b.kets))
+        for w in _weights_with_signed_zeros(rng, n):
+            _same_bits(_reduced(w, b).entries, _reference_reduced(w, b.kets))
+
+
+class _BlochMapCalled(Exception):
+    pass
+
+
+class TestStageVectorsOnAccess:
+    @pytest.mark.parametrize("partition", [None, [[0, 2], [1]]])
+    def test_run_measurement_maps_no_bloch_vector(self, monkeypatch, partition):
+        def refuse(d):
+            raise _BlochMapCalled
+
+        monkeypatch.setattr(blochsim.bloch, "_closed_form_traces", refuse)
+        for b in (B3, random_basis(np.random.default_rng(41), 3)):
+            trace = run_measurement(standard_state_3(), b, partition=partition, seed=RngSeed(3))
+            assert len(trace.stages) == (3 if partition is None else 4)
+            for stage in trace.stages:
+                with pytest.raises(_BlochMapCalled):
+                    stage.vector
+
+    @pytest.mark.parametrize("partition", [None, [[0, 2], [1]]])
+    def test_stage_vector_is_the_bloch_map_of_its_density(self, partition):
+        for b in (B3, random_basis(np.random.default_rng(42), 3)):
+            trace = run_measurement(standard_state_3(), b, partition=partition, seed=RngSeed(4))
+            for stage in trace.stages:
+                _same_bits(stage.vector.coords, to_bloch(stage.density).coords)
 
 
 class TestRunMeasurement:

@@ -19,6 +19,11 @@ The square systems of the simplex in frame coordinates are built in
 ``simplex.py`` alone, and determinants are taken there alone: the
 measure ratios and the oracle's solves read the same systems, and no
 module divides by a factorial, which overflows a float from 171!.
+
+The Born contraction ``einsum("ij,jk,ik->i", ...)`` is written in
+``simplex.born_probabilities`` alone, and the test for the computational
+basis, a comparison with ``eye``, in ``MeasurementBasis.__post_init__``
+alone, so no second Born path or identity shortcut can grow.
 """
 
 import ast
@@ -63,18 +68,22 @@ LAMBDA_DRAWS = {"standard_exponential", "exponential", "dirichlet"}
 DRAWERS = {("sampler.py", "_exponential_rows"), ("sampler.py", "sample_lambda")}
 
 
-def _calls(tree: ast.AST):
-    """(enclosing function, call node) of every call in a module."""
+def _nodes(tree: ast.AST):
+    """(enclosing function, node) of every node in a module."""
 
     def visit(node: ast.AST, function: str):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call):
-            yield function, node
+        yield function, node
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
 
     yield from visit(tree, "<module>")
+
+
+def _calls(tree: ast.AST):
+    """(enclosing function, call node) of every call in a module."""
+    return ((fn, node) for fn, node in _nodes(tree) if isinstance(node, ast.Call))
 
 
 def _name(func: ast.expr) -> str | None:
@@ -134,3 +143,27 @@ def test_frame_systems_and_determinants_live_in_simplex():
     assert frame_products == {"simplex.py"}
     assert determinants == {("simplex.py", "total_measure"), ("simplex.py", "subregion_ratios")}
     assert factorials == set()
+
+
+BORN_SUBSCRIPTS = "ij,jk,ik->i"
+
+
+def _compares_with_eye(node: ast.AST) -> bool:
+    """``x == eye(...)`` or ``eye(...) == x``, in any module."""
+    return (isinstance(node, ast.Compare) and any(isinstance(op, ast.Eq) for op in node.ops)
+            and any(isinstance(side, ast.Call) and _name(side.func) == "eye"
+                    for side in [node.left, *node.comparators]))
+
+
+def test_born_contraction_and_identity_test_live_in_one_place():
+    contractions, identity_tests = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn, node in _nodes(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and _name(node.func) == "einsum" and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and str(node.args[0].value).replace(" ", "") == BORN_SUBSCRIPTS):
+                contractions.add((path.name, fn))
+            if _compares_with_eye(node):
+                identity_tests.add((path.name, fn))
+    assert contractions == {("simplex.py", "born_probabilities")}
+    assert identity_tests == {("simplex.py", "__post_init__")}
