@@ -19,7 +19,6 @@ from .errors import (
     NormalizationError,
     OracleInconsistencyError,
 )
-from .generators import build_generators, verify_generator_set
 from .sampler import (
     OracleReport,
     RngSeed,
@@ -68,7 +67,6 @@ __all__ = [
     "barycentric_of",
     "basis_to_simplex",
     "born_probabilities",
-    "build_generators",
     "classify",
     "from_bloch",
     "geometric_hit_count_oracle",
@@ -83,5 +81,4 @@ __all__ = [
     "subregion_ratios",
     "to_bloch",
     "validate_partition",
-    "verify_generator_set",
 ]

@@ -71,6 +71,29 @@ def _as_integer(value, what: str) -> int:
         raise ContractError(f"{what} must be an integer, got {value!r}") from None
 
 
+#: Per stored dtype, the input kinds it takes and their name: integers and
+#: reals everywhere, complex numbers in complex fields only.
+_NUMBER_KINDS = {
+    np.complex128: ("iufc", "numbers"),
+    np.float64: ("iuf", "real numbers"),
+    np.int64: ("iu", "integers"),
+}
+
+
+def _numbers(value, dtype, what: str) -> np.ndarray:
+    """One C-ordered copy of ``value`` as ``dtype``, from numbers that dtype holds.
+
+    Strings, objects and bools are a ContractError for every dtype, and so
+    are complex numbers for a real one and non-integers for int64; numpy
+    would parse a numeric string, read a bool as 1 and truncate a float.
+    """
+    a = value if isinstance(value, np.ndarray) else np.asarray(value)
+    kinds, name = _NUMBER_KINDS[dtype]
+    if a.dtype.kind not in kinds:
+        raise ContractError(f"{what} must be {name}, got dtype {a.dtype}")
+    return np.array(a, dtype=dtype, order="C")
+
+
 @dataclass(frozen=True)
 class Ket:
     """A unit-normalized complex state vector.
@@ -82,7 +105,7 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128, order="C")
+        amps = _numbers(self.amplitudes, np.complex128, "ket amplitudes")
         if amps.ndim != 1 or amps.size < 2:
             raise DimensionError(f"ket must be a vector of length >= 2, got shape {amps.shape}")
         # einsum reports no overflow: amplitudes near float max give inf, not a warning
@@ -113,7 +136,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=np.complex128, order="C")
+        m = _numbers(self.entries, np.complex128, "density matrix entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise DimensionError(f"density matrix must be square with N >= 2, got shape {m.shape}")
         # a non-finite entry makes herm nan or inf, and so does an entry near float max
@@ -155,7 +178,7 @@ class BlochVector:
 
     def __post_init__(self):
         n = _as_integer(self.dim, "Bloch vector dim")
-        c = np.array(self.coords, dtype=np.float64, order="C")
+        c = _numbers(self.coords, np.float64, "Bloch vector coordinates")
         if n < 2:
             raise DimensionError(f"Bloch vector needs dim >= 2, got {n}")
         if c.shape != (n**2 - 1,):

@@ -69,7 +69,6 @@ _KNOWN_KEYS = {
 class ExperimentConfig:
     """A fully validated experiment description."""
 
-    dim: int
     state: DensityMatrix
     basis: MeasurementBasis
     partition: tuple[tuple[int, ...], ...] | None
@@ -80,6 +79,10 @@ class ExperimentConfig:
     trace: bool
     oracle_check: bool
     out: str | None
+
+    @property
+    def dim(self) -> int:
+        return self.state.dim
 
 
 def _fail(field: str, message: str):
@@ -144,23 +147,24 @@ def _split_partition_flag(text: str) -> list[list[int]]:
     return [[int(token) for token in blk] for blk in blocks]
 
 
-def parse_config(source: str | Path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse and validate an experiment config from JSON text or a file path.
+def _read_config(path: Path) -> str:
+    """The text of the config file; a file that cannot be read or decoded is a ConfigError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
 
-    A string argument starting with '{' is treated as JSON text, anything
-    else as a path. ``overrides`` maps config field names to raw values
-    that replace the file's before validation, so command-line flags pass
-    the same field checks. Parse errors carry the position, validation
-    errors the failing field name.
+
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse and validate an experiment config from its JSON text.
+
+    ``overrides`` maps config field names to raw values that replace the
+    text's before validation, so command-line flags pass the same field
+    checks. Parse errors carry the position, validation errors the
+    failing field name.
     """
-    if isinstance(source, Path) or not source.lstrip().startswith("{"):
-        path = Path(source)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        text = path.read_text()
-    else:
-        text = source
-
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -215,7 +219,6 @@ def parse_config(source: str | Path, overrides: dict | None = None) -> Experimen
         _fail("out", f"expected a nonempty path string, got {out!r}")
 
     cfg = ExperimentConfig(
-        dim=dim,
         state=state,
         basis=basis,
         partition=partition,
@@ -318,9 +321,8 @@ def main(argv=None) -> int:
             "trace": args.trace or None,
             "oracle_check": args.oracle_check or None,
         }
-        cfg = parse_config(
-            Path(args.config), {field: v for field, v in flags.items() if v is not None}
-        )
+        overrides = {field: v for field, v in flags.items() if v is not None}
+        cfg = parse_config(_read_config(Path(args.config)), overrides)
     except BlochSimError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

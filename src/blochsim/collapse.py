@@ -107,7 +107,8 @@ def run_measurement(
     d: DensityMatrix,
     b: MeasurementBasis,
     partition=None,
-    seed: RngSeed = RngSeed(0),
+    *,
+    seed: RngSeed,
 ) -> ProcessTrace:
     """Run one measurement and record the staged trace.
 

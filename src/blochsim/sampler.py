@@ -120,14 +120,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import DensityMatrix, _as_integer
+from .bloch import DensityMatrix, _as_integer, _numbers
 from .errors import ContractError, DimensionError, GeometryError, OracleInconsistencyError
 from .simplex import (
     Barycentric,
     MeasurementBasis,
     MeasurementSimplex,
     _frame_systems,
-    basis_to_simplex,
     born_probabilities,
 )
 from .tolerances import BOUNDARY_TOL, HULL_TOL, MEMBER_TOL, NEGLIGIBLE_WEIGHT, TIE_BAND
@@ -160,7 +159,7 @@ def _trial_count(value, what: str) -> int:
 
 def _tallies(counts, total: int, what: str) -> np.ndarray:
     """Read-only int64 ``counts``: a vector of nonnegative tallies summing to ``total``."""
-    c = np.array(counts, dtype=np.int64)
+    c = _numbers(counts, np.int64, what)
     if c.ndim != 1 or c.size == 0:
         raise ContractError(f"{what} must be a nonempty vector, got shape {c.shape}")
     if c.min() < 0:
@@ -366,6 +365,7 @@ def sample_lambda(n: int, rng: np.random.Generator) -> Barycentric:
     One ``standard_exponential(n)`` call divided by its sum: the draws of
     one row of a :func:`run_trials` block, normalised as the oracle's blocks are.
     """
+    n = _as_integer(n, "simplex dim")
     if n < 2:
         raise DimensionError(f"simplex sampling needs n >= 2, got {n}")
     e = rng.standard_exponential(n)
@@ -431,7 +431,7 @@ def validate_partition(partition, n: int) -> tuple[tuple[int, ...], ...]:
     ``partition:``, e.g. ``partition: duplicate index 1``.
     """
     try:
-        return _set_partition(partition, range(n))
+        return _set_partition(partition, range(_as_integer(n, "outcome count")))
     except ContractError as exc:
         raise ContractError(f"partition: {exc}") from None
 
@@ -535,7 +535,7 @@ def geometric_hit_count_oracle(
     rpar: Barycentric,
     n_samples: int,
     rng: np.random.Generator,
-    simplex: MeasurementSimplex | None = None,
+    simplex: MeasurementSimplex,
 ) -> OracleReport:
     """Brute-force hit counts over the sub-regions, bypassing the argmin rule.
 
@@ -563,18 +563,14 @@ def geometric_hit_count_oracle(
     The membership test never reads the ratio rule: it solves the
     embedded geometry, so a fault in either route shows as a
     disagreement. Its blocks and its throughput are in the module docstring.
-
-    ``simplex`` defaults to the canonical-basis simplex of the matching
-    dimension; the statistics are affine-invariant, so any simplex of the
-    right dimension gives the same law.
+    The statistics are affine-invariant, so any simplex of the right
+    dimension gives the same law.
     """
     n_samples = _trial_count(n_samples, "n_samples")
     pw = rpar.weights
     if not float(pw.min()) > BOUNDARY_TOL:
         raise GeometryError("oracle requires r_par strictly inside the simplex")
     n = rpar.dim
-    if simplex is None:
-        simplex = basis_to_simplex(MeasurementBasis.canonical(n))
     if simplex.dim != n:
         raise DimensionError(f"simplex has dim {simplex.dim} but rpar has dim {n}")
 

@@ -11,8 +11,10 @@ holds one ``"%.12g"`` (floats) or ``"%d"`` (integers) per element inside
 [...] lists joined with ", ". ``%.12g`` writes the same text as
 ``{:.12g}``, signed zeros and subnormals included. The text is the one
 that writing each element on its own gives, and so is the error: the
-first non-finite value in row-major order is named. Other arrays (bool,
-complex) and other objects are written element by element.
+first non-finite value in row-major order is named. A report holds
+only dicts, lists, strings, ints, floats (``int`` and ``float`` exactly)
+and integer or float arrays; any other object, a bool, None, a tuple, a
+numpy scalar or a bool or complex array among them, is a ContractError.
 
 Nested [re, im] pairs are read an array at a time by ``pairs_to_array``.
 Each number must be a JSON int or float (``int`` or ``float`` exactly)
@@ -50,7 +52,7 @@ def _template(shape: tuple[int, ...], spec: str) -> str:
 
 
 def _array_text(a: np.ndarray) -> str:
-    """A float or integer array of one or more dimensions as nested JSON lists."""
+    """A float or integer array as nested JSON lists."""
     if a.dtype.kind == "f":
         finite = np.isfinite(a)
         if not finite.all():
@@ -74,25 +76,20 @@ def _write(obj, parts: list[str], indent: int) -> None:
         parts.append(pad + "}")
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, (bool, np.bool_)):
-        parts.append("true" if obj else "false")
-    elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif type(obj) is int:
+        parts.append(str(obj))
+    elif type(obj) is float:
         parts.append(format_float(obj))
-    elif isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in "fiu":
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fiu":
         parts.append(_array_text(obj))
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
+    elif isinstance(obj, list):
+        if not obj:
             parts.append("[]")
             return
         parts.append("[")
-        for i, item in enumerate(items):
+        for i, item in enumerate(obj):
             _write(item, parts, indent)
-            if i < len(items) - 1:
+            if i < len(obj) - 1:
                 parts.append(", ")
         parts.append("]")
     else:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochVector, DensityMatrix, _bloch_rows
+from .bloch import BlochVector, DensityMatrix, _as_integer, _bloch_rows, _numbers
 from .errors import BasisError, ContractError, DimensionError, GeometryError
 from .tolerances import ALGEBRA_TOL, BOUNDARY_TOL, HULL_TOL
 
@@ -47,7 +47,7 @@ class MeasurementBasis:
     _is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = np.array(self.kets, dtype=np.complex128, order="C")
+        k = _numbers(self.kets, np.complex128, "basis kets")
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] < 2:
             raise DimensionError(f"basis must be N kets of length N (N >= 2), got shape {k.shape}")
         if not np.isfinite(k).all():
@@ -68,7 +68,7 @@ class MeasurementBasis:
     @classmethod
     def canonical(cls, n: int) -> "MeasurementBasis":
         """The canonical (computational) basis of dimension n."""
-        return cls(np.eye(n, dtype=np.complex128))
+        return cls(np.eye(_as_integer(n, "basis dim"), dtype=np.complex128))
 
     def projector(self, i: int) -> DensityMatrix:
         """|a_i><a_i|, the outer product ``ket_to_density`` forms, from the validated row."""
@@ -88,7 +88,7 @@ class Barycentric:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64, order="C")
+        w = _numbers(self.weights, np.float64, "barycentric weights")
         if w.ndim != 1 or w.size < 1:
             raise DimensionError(f"barycentric weights must be a nonempty vector, got shape {w.shape}")
         total = float(w.sum())
@@ -111,9 +111,6 @@ class MeasurementSimplex:
 
     Attributes
     ----------
-    dim : int
-        Hilbert dimension N; the simplex has affine dimension N - 1 and
-        lives in R^(N^2 - 1).
     vertices : np.ndarray
         Shape (N, N^2 - 1); row i is n_i.
     centroid : np.ndarray
@@ -127,16 +124,20 @@ class MeasurementSimplex:
         to rounding.
     """
 
-    dim: int
     vertices: np.ndarray
     centroid: np.ndarray
     frame: np.ndarray
 
     def __post_init__(self):
         for name in ("vertices", "centroid", "frame"):
-            a = np.array(getattr(self, name), dtype=np.float64, order="C")
+            a = _numbers(getattr(self, name), np.float64, f"simplex {name}")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    @property
+    def dim(self) -> int:
+        """Hilbert dimension N, one vertex per outcome: affine dimension N - 1 in R^(N^2 - 1)."""
+        return self.vertices.shape[0]
 
     @property
     def total_measure(self) -> float:
@@ -168,13 +169,12 @@ def basis_to_simplex(b: MeasurementBasis) -> MeasurementSimplex:
     They satisfy ||n_i|| = 1 and n_i . n_j = -1/(N-1) for i != j, so all
     edges have length sqrt(2N/(N-1)).
     """
-    n = b.dim
     kets = b.kets
     # the projectors |a_i><a_i|, entry for entry as ket_to_density builds them
     vertices = _bloch_rows(kets[:, :, None] * kets.conj()[:, None, :])
     centroid = vertices.mean(axis=0)
     frame = _gram_schmidt(vertices[:-1] - vertices[-1])
-    return MeasurementSimplex(dim=n, vertices=vertices, centroid=centroid, frame=frame)
+    return MeasurementSimplex(vertices, centroid, frame)
 
 
 def _frame_systems(vertices, centroid, frame, point=None) -> np.ndarray:

@@ -14,7 +14,6 @@ from blochsim import (
     RngSeed,
     basis_to_simplex,
     born_probabilities,
-    build_generators,
     from_bloch,
     ket_to_density,
     measure_degenerate,
@@ -24,8 +23,8 @@ from blochsim import (
     sample_lambda,
     subregion_ratios,
     to_bloch,
-    verify_generator_set,
 )
+from blochsim.generators import build_generators, verify_generator_set
 from blochsim.sampler import geometric_hit_count_oracle
 from util import purity, random_density, random_interior_barycentric, random_ket, standard_state_3
 

@@ -51,15 +51,18 @@ class TestParseConfig:
         np.testing.assert_array_equal(cfg.basis.kets, np.eye(2))
         np.testing.assert_allclose(cfg.state.entries, np.diag([1.0, 0.0]), atol=1e-15)
 
-    def test_reads_from_file(self, tmp_path):
+    def test_reads_from_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(MINIMAL)
-        assert parse_config(path).dim == 2
-        assert parse_config(str(path)).dim == 2
+        assert main(["--config", str(path), "--trials", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == 2
+        # parse_config reads text only: a path is not JSON
+        with pytest.raises(ConfigError, match="config parse error at line 1 column 1"):
+            parse_config(str(path))
 
-    def test_missing_file(self):
-        with pytest.raises(ConfigError, match="not found"):
-            parse_config("/no/such/config.json")
+    def test_missing_file(self, capsys):
+        assert main(["--config", "/no/such/config.json"]) == 2
+        assert capsys.readouterr().err == "config error: config file not found: /no/such/config.json\n"
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ConfigError, match="line 1 column"):

@@ -22,13 +22,13 @@ from blochsim import (
     MeasurementBasis,
     RngSeed,
     basis_to_simplex,
-    build_generators,
     from_bloch,
     ket_to_density,
     run_measurement,
     to_bloch,
 )
 from blochsim.bloch import radius_scale
+from blochsim.generators import build_generators
 from blochsim.tolerances import ALGEBRA_TOL
 from util import random_basis, random_density, random_ket
 

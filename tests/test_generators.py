@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from blochsim import DimensionError, build_generators, verify_generator_set
+from blochsim import DimensionError
+from blochsim.generators import build_generators, verify_generator_set
 from blochsim.tolerances import ALGEBRA_TOL
 
 PAULI = [

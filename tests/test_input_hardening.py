@@ -1,8 +1,11 @@
 """Invalid input is rejected where it is constructed, with the right error.
 
 Non-finite numbers must fail every validator (a NaN residual compares
-false against any tolerance), non-integer counts must raise ContractError
-rather than escape as a bare TypeError, and a bad config must exit 2.
+false against any tolerance), non-integer counts and dims must raise
+ContractError rather than escape as a bare TypeError, a value object
+takes numbers only (no strings, objects or bools, no complex numbers in
+a real field, no fractions in counts), and a bad or unreadable config
+must exit 2.
 Finite numbers at the ends of the float range raise no warning on the
 way: a residual that overflows fails its check quietly, and the sampler
 never divides by a subnormal Born weight.
@@ -10,6 +13,7 @@ never divides by a subnormal Born weight.
 
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,11 +28,17 @@ from blochsim import (
     DensityMatrix,
     Ket,
     MeasurementBasis,
+    MeasurementSimplex,
     NormalizationError,
+    OracleReport,
     RngSeed,
+    TrialReport,
+    basis_to_simplex,
     from_bloch,
     geometric_hit_count_oracle,
     run_trials,
+    sample_lambda,
+    validate_partition,
 )
 from blochsim.cli import main
 from util import config_with_entry, standard_state_3
@@ -106,9 +116,10 @@ class TestIntegerCounts:
 
     def test_non_integer_oracle_sample_count(self):
         rng = np.random.default_rng()
+        simplex = basis_to_simplex(MeasurementBasis.canonical(3))
         for bad in (100.0, True):
             with pytest.raises(ContractError, match="n_samples must be an integer"):
-                geometric_hit_count_oracle(Barycentric([0.5, 0.3, 0.2]), bad, rng)
+                geometric_hit_count_oracle(Barycentric([0.5, 0.3, 0.2]), bad, rng, simplex)
 
     def test_numpy_integers_still_accepted(self):
         b = MeasurementBasis.canonical(3)
@@ -120,6 +131,20 @@ class TestIntegerCounts:
         with pytest.raises(ContractError, match="Bloch vector dim must be an integer"):
             BlochVector(dim, [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("n", [3.0, "3", None, True], ids=repr)
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda n: sample_lambda(n, np.random.default_rng(0)), "simplex dim"),
+            (MeasurementBasis.canonical, "basis dim"),
+            (lambda n: validate_partition(((0,), (1,)), n), "partition: outcome count"),
+        ],
+        ids=["sample_lambda", "canonical", "validate_partition"],
+    )
+    def test_non_integer_dim(self, call, what, n):
+        with pytest.raises(ContractError, match=f"^{what} must be an integer, got {n!r}$"):
+            call(n)
+
     def test_numpy_dim_after_a_float_attempt(self):
         # a float dim once reached the cached index plan under the key np.int64(2) hits
         with pytest.raises(ContractError):
@@ -129,6 +154,47 @@ class TestIntegerCounts:
         np.testing.assert_array_equal(from_bloch(r).entries, np.diag([1.0, 0.0]))
 
 
+_S2 = basis_to_simplex(MeasurementBasis.canonical(2))
+
+#: name -> (build the value object from one array, a valid array of 0s and 1s,
+#: the kinds of number it takes: "c" complex, "f" real, "i" integer).
+VALUE_OBJECTS = {
+    "Ket": (Ket, [1, 0], "c"),
+    "DensityMatrix": (DensityMatrix, [[1, 0], [0, 0]], "c"),
+    "MeasurementBasis": (MeasurementBasis, [[1, 0], [0, 1]], "c"),
+    "Barycentric": (Barycentric, [1, 0], "f"),
+    "BlochVector": (lambda x: BlochVector(2, x), [0, 0, 1], "f"),
+    "MeasurementSimplex": (
+        lambda x: MeasurementSimplex(x, _S2.centroid, _S2.frame), [[0, 0, 1], [0, 0, -1]], "f"
+    ),
+    "TrialReport": (lambda x: TrialReport(1, Barycentric([1.0, 0.0]), x), [1, 0], "i"),
+    "OracleReport": (lambda x: OracleReport(1, x, 0, 0), [1, 0], "i"),
+}
+#: Inputs that are not numbers of the field's kind, made from the valid array,
+#: and the kinds of field each applies to.
+NOT_NUMBERS = {
+    "numeric strings": (lambda a: a.astype(str), "cfi"),
+    "fractions": (lambda a: np.vectorize(Fraction, otypes=[object])(a), "cfi"),
+    "bools": (lambda a: a.astype(bool), "cfi"),
+    "complex numbers": (lambda a: a.astype(complex), "fi"),
+    "floats": (lambda a: a.astype(float), "i"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, how",
+    [(name, how) for name in sorted(VALUE_OBJECTS) for how, (_, fields) in NOT_NUMBERS.items()
+     if VALUE_OBJECTS[name][2] in fields],
+)
+def test_value_objects_take_numbers_only(name, how):
+    build, valid, _ = VALUE_OBJECTS[name]
+    build(np.array(valid))
+    bad = NOT_NUMBERS[how][0](np.array(valid))
+    for given in (bad, bad.tolist()):
+        with pytest.raises(ContractError, match=r"must be (numbers|real numbers|integers), got dtype"):
+            build(given)
+
+
 def _main_on(tmp_path, text: str, *flags: str) -> int:
     path = tmp_path / "cfg.json"
     path.write_text(text)
@@ -136,6 +202,17 @@ def _main_on(tmp_path, text: str, *flags: str) -> int:
 
 
 class TestConfigExitCodes:
+    def test_directory_config_is_a_config_error(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {tmp_path}: ")
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "out": "\xff"}')
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {path}: ") and "utf-8" in err
+
     def test_nan_amplitude_is_a_config_error(self, tmp_path, capsys):
         text = '{"dim": 2, "state": {"ket": [[NaN, 0], [1, 0]]}}'
         assert _main_on(tmp_path, text) == 2

@@ -48,7 +48,7 @@ def reference_oracle(
     rpar: Barycentric,
     n_samples: int,
     rng: np.random.Generator,
-    simplex: MeasurementSimplex | None = None,
+    simplex: MeasurementSimplex,
 ) -> OracleReport:
     n_samples = _as_integer(n_samples, "n_samples")
     if n_samples < 1:
@@ -57,8 +57,6 @@ def reference_oracle(
     if not float(pw.min()) > BOUNDARY_TOL:
         raise GeometryError("oracle requires r_par strictly inside the simplex")
     n = rpar.dim
-    if simplex is None:
-        simplex = basis_to_simplex(MeasurementBasis.canonical(n))
     if simplex.dim != n:
         raise DimensionError(f"simplex has dim {simplex.dim} but rpar has dim {n}")
 
@@ -204,7 +202,7 @@ def test_frame_off_the_hull_is_inconsistent(n, monkeypatch):
     p = interior_weights(rng, n, 0.1)
     k = s.vertices.shape[1]
     rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    rotated = MeasurementSimplex(n, s.vertices, s.centroid, s.frame @ rotation)
+    rotated = MeasurementSimplex(s.vertices, s.centroid, s.frame @ rotation)
 
     def no_draws(*args):
         raise AssertionError("drew samples for an inconsistent simplex")
@@ -215,7 +213,7 @@ def test_frame_off_the_hull_is_inconsistent(n, monkeypatch):
         geometric_hit_count_oracle(p, 1000, RngSeed(n).generator(), rotated)
     # a rotation inside the hull spans the same directions: same counts
     turn = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
-    turned = MeasurementSimplex(n, s.vertices, s.centroid, turn @ s.frame)
+    turned = MeasurementSimplex(s.vertices, s.centroid, turn @ s.frame)
     np.testing.assert_array_equal(
         geometric_hit_count_oracle(p, 1000, RngSeed(n).generator(), turned).counts,
         geometric_hit_count_oracle(p, 1000, RngSeed(n).generator(), s).counts,
@@ -226,7 +224,7 @@ def test_frame_across_the_hull_is_inconsistent():
     # at N = 2 a frame orthogonal to the one edge maps both vertices to 0
     s = basis_to_simplex(MeasurementBasis.canonical(2))
     across = np.linalg.svd(s.frame)[2][1:2]
-    flat = MeasurementSimplex(2, s.vertices, s.centroid, across)
+    flat = MeasurementSimplex(s.vertices, s.centroid, across)
     with pytest.raises(OracleInconsistencyError, match="singular"):
         geometric_hit_count_oracle(Barycentric([0.3, 0.7]), 10, RngSeed(2).generator(), flat)
 

@@ -1,7 +1,9 @@
 """Public names stay in step with the places that list them.
 
 The package root binds exactly the names of its ``__all__``, so a deleted
-name cannot linger in the list, and a new export cannot miss it.
+name cannot linger in the list, and a new export cannot miss it. Inputs
+that every caller passes have no default, and values the code can work
+out from its other inputs are not stored.
 
 The benchmark's tracer (``bench/tracer.py``) names its per-layer metrics
 after the public functions it wraps, as ``"<module>.<function>"``. A
@@ -11,6 +13,7 @@ the tracer.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -19,6 +22,7 @@ import types
 from pathlib import Path
 
 import blochsim
+import blochsim.cli
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -34,6 +38,15 @@ def test_package_root_matches_all():
     star: dict = {}
     exec("from blochsim import *", star)
     assert set(star) - {"__builtins__"} == public
+
+
+def test_required_inputs_have_no_default_and_dims_are_derived():
+    empty = inspect.Parameter.empty
+    seed = inspect.signature(blochsim.run_measurement).parameters["seed"]
+    assert (seed.kind, seed.default) == (inspect.Parameter.KEYWORD_ONLY, empty)
+    assert inspect.signature(blochsim.geometric_hit_count_oracle).parameters["simplex"].default is empty
+    assert [f.name for f in dataclasses.fields(blochsim.MeasurementSimplex)] == ["vertices", "centroid", "frame"]
+    assert "dim" not in {f.name for f in dataclasses.fields(blochsim.cli.ExperimentConfig)}
 
 
 def _tracer():

@@ -35,6 +35,7 @@ from util import cm_measure, purity, random_ket, standard_state_3
 
 B3 = MeasurementBasis.canonical(3)
 B2 = MeasurementBasis.canonical(2)
+S3 = basis_to_simplex(B3)
 
 
 class TestRngSeed:
@@ -606,7 +607,7 @@ class TestMeasureDegenerate:
 class TestGeometricOracle:
     def test_centroid_fractions(self):
         report = geometric_hit_count_oracle(
-            Barycentric(np.full(3, 1 / 3)), 10**5, RngSeed(78).generator()
+            Barycentric(np.full(3, 1 / 3)), 10**5, RngSeed(78).generator(), S3
         )
         assert np.all(np.abs(report.fractions - 1 / 3) <= 3 * np.sqrt((1 / 3) * (2 / 3) / 10**5))
         assert int(report.counts.sum()) == 10**5
@@ -614,19 +615,19 @@ class TestGeometricOracle:
 
     def test_born_weights_recovered(self):
         p = np.array([0.5, 0.3, 0.2])
-        report = geometric_hit_count_oracle(Barycentric(p), 10**6, RngSeed(77).generator())
+        report = geometric_hit_count_oracle(Barycentric(p), 10**6, RngSeed(77).generator(), S3)
         assert np.all(np.abs(report.fractions - p) <= 3 * np.sqrt(p * (1 - p) / 10**6))
 
     def test_agreement_with_argmin_rule(self):
         report = geometric_hit_count_oracle(
-            Barycentric([0.5, 0.3, 0.2]), 10**5, RngSeed(79).generator()
+            Barycentric([0.5, 0.3, 0.2]), 10**5, RngSeed(79).generator(), S3
         )
         assert report.agreements == report.n_samples - report.ties
         assert report.disagreements == 0
 
     def test_every_sample_classified_exactly_once(self):
         report = geometric_hit_count_oracle(
-            Barycentric([0.4, 0.35, 0.25]), 20000, RngSeed(80).generator()
+            Barycentric([0.4, 0.35, 0.25]), 20000, RngSeed(80).generator(), S3
         )
         assert int(report.counts.sum()) == report.n_samples
 
@@ -642,13 +643,13 @@ class TestGeometricOracle:
     def test_boundary_state_point_rejected(self):
         with pytest.raises(GeometryError):
             geometric_hit_count_oracle(
-                Barycentric([0.5, 0.5, 0.0]), 100, RngSeed(0).generator()
+                Barycentric([0.5, 0.5, 0.0]), 100, RngSeed(0).generator(), S3
             )
 
     def test_cross_check_against_trial_frequencies(self):
         d = standard_state_3()
         p = born_probabilities(d, B3)
         trials = run_trials(d, B3, 10**5, RngSeed(83))
-        oracle = geometric_hit_count_oracle(p, 10**5, RngSeed(83).generator())
+        oracle = geometric_hit_count_oracle(p, 10**5, RngSeed(83).generator(), S3)
         # same lambda stream, two independent classification routes
         np.testing.assert_array_equal(trials.counts, oracle.counts)

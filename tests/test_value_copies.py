@@ -37,17 +37,17 @@ def _cases():
         "Barycentric": (Barycentric, "weights", np.array([0.1, 0.2, 0.3, 0.4])),
         "MeasurementBasis": (MeasurementBasis, "kets", b.kets),
         "MeasurementSimplex.vertices": (
-            lambda x: MeasurementSimplex(N, x, s.centroid, s.frame),
+            lambda x: MeasurementSimplex(x, s.centroid, s.frame),
             "vertices",
             s.vertices,
         ),
         "MeasurementSimplex.centroid": (
-            lambda x: MeasurementSimplex(N, s.vertices, x, s.frame),
+            lambda x: MeasurementSimplex(s.vertices, x, s.frame),
             "centroid",
             s.centroid,
         ),
         "MeasurementSimplex.frame": (
-            lambda x: MeasurementSimplex(N, s.vertices, s.centroid, x),
+            lambda x: MeasurementSimplex(s.vertices, s.centroid, x),
             "frame",
             s.frame,
         ),
