@@ -43,6 +43,11 @@ defines the convention and serves as the reference the closed forms are
 tested against.
 
 All values here are immutable and all operations are pure functions.
+
+``_as_integer`` is the package's one integer contract: every count, dim,
+partition index and seed a caller passes is an int or numpy integer, not
+a bool, within the bounds its owner sets. Counts and dims are at most
+2^63 - 1, as each sizes an array or an int64 tally.
 """
 
 from __future__ import annotations
@@ -59,16 +64,27 @@ from .tolerances import ALGEBRA_TOL, EIGEN_TOL
 
 #: Bound on |Im Tr(D L_j)| for a matrix that construction accepted (module docstring).
 _TRACE_IMAG_TOL = math.sqrt(2.0) * ALGEBRA_TOL
+#: The largest count or dim: each sizes an array or an int64 tally.
+_INT64_MAX = 2**63 - 1
 
 
-def _as_integer(value, what: str) -> int:
-    """``value`` as an int; a non-integer or a bool is a ContractError, not a TypeError."""
-    if isinstance(value, bool):
-        raise ContractError(f"{what} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ContractError(f"{what} must be an integer, got {value!r}") from None
+def _as_integer(value, what: str, low: int, high: int | None = _INT64_MAX, error=ContractError) -> int:
+    """``value`` as an int in low..high, or at least low if ``high`` is None.
+
+    A non-integer or a bool is a ContractError, an integer out of range
+    raises ``error``; the one message names ``what`` first and quotes the
+    value as given.
+    """
+    n = value
+    if type(n) is not int:  # a bool is not taken, a numpy integer is
+        try:
+            n = None if isinstance(value, bool) else operator.index(value)
+        except TypeError:
+            n = None
+    if n is not None and low <= n and (high is None or n <= high):
+        return n
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+    raise (ContractError if n is None else error)(f"{what} must be an integer {span}, got {value!r}")
 
 
 #: Per stored dtype, the input kinds it takes and their name: integers and
@@ -86,11 +102,18 @@ def _numbers(value, dtype, what: str) -> np.ndarray:
     Strings, objects and bools are a ContractError for every dtype, and so
     are complex numbers for a real one and non-integers for int64; numpy
     would parse a numeric string, read a bool as 1 and truncate a float.
+    So are a ragged nested sequence and, for int64, an unsigned integer
+    above 2^63 - 1, which numpy would wrap to a negative one.
     """
-    a = value if isinstance(value, np.ndarray) else np.asarray(value)
+    try:
+        a = value if isinstance(value, np.ndarray) else np.asarray(value)
+    except ValueError:
+        raise ContractError(f"{what} must be a rectangular array, got a ragged sequence") from None
     kinds, name = _NUMBER_KINDS[dtype]
     if a.dtype.kind not in kinds:
         raise ContractError(f"{what} must be {name}, got dtype {a.dtype}")
+    if a.dtype.kind == "u" and dtype is np.int64 and a.size and a.max() > _INT64_MAX:
+        raise ContractError(f"{what} must be at most {_INT64_MAX}, got {a.max()}")
     return np.array(a, dtype=dtype, order="C")
 
 
@@ -167,29 +190,27 @@ class DensityMatrix:
 class BlochVector:
     """A real vector of length N^2 - 1 in the generalized Bloch ball.
 
-    ``dim`` is the Hilbert-space dimension N, not the coordinate count: an
-    integer (not a bool), stored as a Python ``int``. Coordinates must be
+    ``dim`` is the Hilbert-space dimension N, not the coordinate count; it
+    is derived from the N^2 - 1 coordinates, N >= 2. Coordinates must be
     finite. Norm constraints are not enforced at construction; vectors
     outside the unit ball are legal inputs to ``from_bloch``.
     """
 
-    dim: int
     coords: np.ndarray
 
     def __post_init__(self):
-        n = _as_integer(self.dim, "Bloch vector dim")
         c = _numbers(self.coords, np.float64, "Bloch vector coordinates")
-        if n < 2:
-            raise DimensionError(f"Bloch vector needs dim >= 2, got {n}")
-        if c.shape != (n**2 - 1,):
-            raise DimensionError(
-                f"Bloch vector for dim {n} needs {n ** 2 - 1} coordinates, got shape {c.shape}"
-            )
+        n = math.isqrt(c.size + 1)
+        if c.ndim != 1 or n < 2 or n * n != c.size + 1:
+            raise DimensionError(f"Bloch vector needs N^2 - 1 coordinates, N >= 2, got shape {c.shape}")
         if not np.isfinite(c).all():
             raise ContractError("Bloch vector has non-finite coordinates")
         c.setflags(write=False)
-        object.__setattr__(self, "dim", n)
         object.__setattr__(self, "coords", c)
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.coords.size + 1)
 
     @property
     def norm(self) -> float:
@@ -269,7 +290,7 @@ def to_bloch(d: DensityMatrix) -> BlochVector:
     docstring says why); the imaginary rounding residual is checked, then
     discarded.
     """
-    return BlochVector(dim=d.dim, coords=_bloch_rows(d.entries))
+    return BlochVector(_bloch_rows(d.entries))
 
 
 def from_bloch(r: BlochVector) -> DensityMatrix:

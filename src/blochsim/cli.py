@@ -8,8 +8,9 @@ Config schema (JSON object):
                {"density": [[[re, im], ...], ...]}
       "basis": [[[re, im], ...], ...],           optional, default canonical
       "partition": [[1], [2, 3]],                optional, 1-based outcome indices
-      "n_trials": 1000000,                       optional, default 10^6
-      "seed": 0, "stream": 0,                    optional, default 0/0
+      "n_trials": 1000000,                       optional, 1..2**63 - 1, default 10^6
+      "seed": 0, "stream": 0,                    optional, seed 0..2**64 - 1 and
+                                                 stream >= 0, default 0/0
       "format": "json" | "csv",                  optional, default "json"
       "dump_geometry": false,                    optional flags
       "trace": false,
@@ -29,12 +30,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bloch import DensityMatrix, Ket, ket_to_density
+from .bloch import DensityMatrix, Ket, _as_integer, ket_to_density
 from .collapse import run_measurement
-from .errors import BlochSimError, ConfigError, ContractError
+from .errors import BlochSimError, ConfigError, ContractError, DimensionError
 from .sampler import RngSeed, _set_partition, geometric_hit_count_oracle, run_trials
 from .serialize import (
     dumps,
@@ -89,10 +91,19 @@ def _fail(field: str, message: str):
     raise ConfigError(f"{field}: {message}")
 
 
-def _as_int(raw, field: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        _fail(field, f"expected an integer, got {raw!r}")
-    return raw
+@contextmanager
+def _fields(*names: str):
+    """Re-raise a library error of the block as a ConfigError that names its field once.
+
+    A message that starts with one of ``names`` (the integer contract's
+    "seed must be ...") names that field; any other is put under the first.
+    """
+    try:
+        yield
+    except BlochSimError as exc:
+        message = str(exc)
+        field = next((name for name in names if message.startswith(name + " ")), names[0])
+        _fail(field, message.removeprefix(field + " "))
 
 
 def _as_bool(raw, field: str) -> bool:
@@ -114,15 +125,11 @@ def _parse_state(raw, dim: int) -> DensityMatrix:
         _fail("state", "expected an object with exactly one of 'ket' or 'density'")
     if "ket" in raw:
         amps = _pairs(raw["ket"], "state.ket", (dim,))
-        try:
+        with _fields("state.ket"):
             return ket_to_density(Ket(amps))
-        except BlochSimError as exc:
-            _fail("state.ket", str(exc))
     entries = _pairs(raw["density"], "state.density", (dim, dim))
-    try:
+    with _fields("state.density"):
         d = DensityMatrix(entries)
-    except BlochSimError as exc:
-        _fail("state.density", str(exc))
     if not d.is_positive_semidefinite():
         _fail("state.density", f"is not positive semidefinite (min eigenvalue {d.min_eigenvalue():.3e})")
     return d
@@ -132,10 +139,8 @@ def _parse_basis(raw, dim: int) -> MeasurementBasis:
     if raw is None:
         return MeasurementBasis.canonical(dim)
     kets = _pairs(raw, "basis", (dim, dim))
-    try:
+    with _fields("basis"):
         return MeasurementBasis(kets)
-    except BlochSimError as exc:
-        _fail("basis", str(exc))
 
 
 def _split_partition_flag(text: str) -> list[list[int]]:
@@ -180,9 +185,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     raw.update(overrides or {})
     if "dim" not in raw:
         _fail("dim", "is required")
-    dim = _as_int(raw["dim"], "dim")
-    if dim < 2:
-        _fail("dim", f"must be >= 2, got {dim}")
+    with _fields("dim"):
+        dim = _as_integer(raw["dim"], "dim", 2, error=DimensionError)
     if "state" not in raw:
         _fail("state", "is required")
 
@@ -193,22 +197,14 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     if raw.get("partition") is not None:
         if not isinstance(raw["partition"], list):
             _fail("partition", "expected a list of index blocks")
-        try:
+        with _fields("partition"):
             blocks = _set_partition(raw["partition"], range(1, dim + 1))
-        except ContractError as exc:
-            _fail("partition", str(exc))
         partition = tuple(tuple(i - 1 for i in blk) for blk in blocks)
 
-    n_trials = _as_int(raw.get("n_trials", DEFAULT_TRIALS), "n_trials")
-    if n_trials < 1:
-        _fail("n_trials", f"must be >= 1, got {n_trials}")
-
-    seed = _as_int(raw.get("seed", 0), "seed")
-    if not 0 <= seed < 2**64:
-        _fail("seed", f"must be an unsigned 64-bit integer, got {seed}")
-    stream = _as_int(raw.get("stream", 0), "stream")
-    if stream < 0:
-        _fail("stream", f"must be >= 0, got {stream}")
+    with _fields("n_trials"):
+        n_trials = _as_integer(raw.get("n_trials", DEFAULT_TRIALS), "n_trials", 1)
+    with _fields("seed", "stream"):
+        seed = RngSeed(raw.get("seed", 0), raw.get("stream", 0))
 
     out_format = raw.get("format", "json")
     if out_format not in ("json", "csv"):
@@ -223,7 +219,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         basis=basis,
         partition=partition,
         n_trials=n_trials,
-        seed=RngSeed(seed=seed, stream=stream),
+        seed=seed,
         out_format=out_format,
         dump_geometry=_as_bool(raw.get("dump_geometry", False), "dump_geometry"),
         trace=_as_bool(raw.get("trace", False), "trace"),

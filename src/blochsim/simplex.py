@@ -68,7 +68,7 @@ class MeasurementBasis:
     @classmethod
     def canonical(cls, n: int) -> "MeasurementBasis":
         """The canonical (computational) basis of dimension n."""
-        return cls(np.eye(_as_integer(n, "basis dim"), dtype=np.complex128))
+        return cls(np.eye(_as_integer(n, "basis dim", 2, error=DimensionError), dtype=np.complex128))
 
     def projector(self, i: int) -> DensityMatrix:
         """|a_i><a_i|, the outer product ``ket_to_density`` forms, from the validated row."""
@@ -112,10 +112,10 @@ class MeasurementSimplex:
     Attributes
     ----------
     vertices : np.ndarray
-        Shape (N, N^2 - 1); row i is n_i.
+        Shape (N, N^2 - 1), N >= 2; row i is n_i.
     centroid : np.ndarray
-        Mean of the vertices (numerically the origin, i.e. the maximally
-        mixed state).
+        Shape (N^2 - 1,); the mean of the vertices (numerically the
+        origin, i.e. the maximally mixed state).
     frame : np.ndarray
         Shape (N - 1, N^2 - 1); orthonormal rows spanning the direction
         space of the affine hull: the Q factor of one QR factorization of
@@ -129,8 +129,19 @@ class MeasurementSimplex:
     frame: np.ndarray
 
     def __post_init__(self):
-        for name in ("vertices", "centroid", "frame"):
-            a = _numbers(getattr(self, name), np.float64, f"simplex {name}")
+        names = ("vertices", "centroid", "frame")
+        arrays = [_numbers(getattr(self, name), np.float64, f"simplex {name}") for name in names]
+        v, c, f = arrays
+        n = v.shape[0] if v.ndim == 2 else 0
+        k = n * n - 1
+        if n < 2 or (v.shape, c.shape, f.shape) != ((n, k), (k,), (n - 1, k)):
+            raise DimensionError(
+                "simplex needs vertices (N, N^2 - 1), centroid (N^2 - 1,) and frame "
+                f"(N - 1, N^2 - 1) with N >= 2, got shapes {v.shape}, {c.shape} and {f.shape}"
+            )
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ContractError("simplex has non-finite entries")
+        for name, a in zip(names, arrays):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -246,7 +257,7 @@ def project_onto_simplex(r: BlochVector, s: MeasurementSimplex) -> BlochVector:
     """
     _check_point(r, s)
     dev = r.coords - s.centroid
-    proj = BlochVector(dim=r.dim, coords=s.centroid + s.frame.T @ (s.frame @ dev))
+    proj = BlochVector(s.centroid + s.frame.T @ (s.frame @ dev))
     barycentric_of(proj, s)
     return proj
 

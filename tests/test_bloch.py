@@ -84,17 +84,17 @@ class TestToBloch:
 
 class TestFromBloch:
     def test_pole_reconstructs_basis_state(self):
-        d = from_bloch(BlochVector(2, [0.0, 0.0, 1.0]))
+        d = from_bloch(BlochVector([0.0, 0.0, 1.0]))
         np.testing.assert_allclose(d.entries, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_zero_vector_gives_maximally_mixed(self):
-        d = from_bloch(BlochVector(2, np.zeros(3)))
+        d = from_bloch(BlochVector(np.zeros(3)))
         np.testing.assert_allclose(d.entries, np.eye(2) / 2, atol=1e-15)
 
     def test_negative_diagonal_direction_is_not_a_state(self):
         coords = np.zeros(8)
         coords[6] = -1.0
-        d = from_bloch(BlochVector(3, coords))
+        d = from_bloch(BlochVector(coords))
         # eigenvalues of (1/3) diag(1 - sqrt(3), 1 + sqrt(3), 1)
         expected_min = (1.0 - np.sqrt(3)) / 3.0
         assert d.min_eigenvalue() == pytest.approx(expected_min, abs=1e-12)
@@ -110,15 +110,15 @@ class TestIsValidState:
         for _ in range(20):
             v = rng.standard_normal(3)
             v = radius * v / np.linalg.norm(v)
-            assert from_bloch(BlochVector(2, v)).is_positive_semidefinite()
+            assert from_bloch(BlochVector(v)).is_positive_semidefinite()
 
     def test_outside_unit_ball_is_invalid(self):
         v = np.array([1.5, 0.0, 0.0])
-        assert not from_bloch(BlochVector(2, v)).is_positive_semidefinite()
+        assert not from_bloch(BlochVector(v)).is_positive_semidefinite()
 
     def test_vertex_antipode_is_invalid_for_three_levels(self):
         n1 = to_bloch(DensityMatrix(np.diag([1.0, 0.0, 0.0])))
-        d = from_bloch(BlochVector(3, -n1.coords))
+        d = from_bloch(BlochVector(-n1.coords))
         assert not d.is_positive_semidefinite()
         assert d.min_eigenvalue() == pytest.approx(-1 / 3, abs=1e-12)
 
@@ -132,7 +132,7 @@ class TestPurity:
         assert purity(DensityMatrix(np.eye(n) / n)) == pytest.approx(1 / n, abs=1e-15)
 
     def test_half_radius_qubit(self):
-        d = from_bloch(BlochVector(2, [0.5, 0.0, 0.0]))
+        d = from_bloch(BlochVector([0.5, 0.0, 0.0]))
         # (1 + ||r||^2) / 2 = 5/8, cross-checked against the direct trace
         direct = np.trace(d.entries @ d.entries).real
         assert direct == pytest.approx(5 / 8, abs=1e-14)

@@ -98,7 +98,7 @@ class TestParseConfig:
         good = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "partition": [[2], [1]]}'
         assert parse_config(good).partition == ((1,), (0,))
         bad = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "partition": [[0], [1]]}'
-        with pytest.raises(ConfigError, match="out of range"):
+        with pytest.raises(ConfigError, match=r"partition: index must be an integer in 1\.\.2, got 0"):
             parse_config(bad)
 
     def test_non_orthonormal_basis_names_field(self):
@@ -140,10 +140,10 @@ class TestParseConfig:
         assert main(["--config", str(path), "--partition", "1|x"]) == 2
         assert "partition: expected positive integers, got 'x'" in capsys.readouterr().err
         assert main(["--config", str(path), "--partition", "0|1,2"]) == 2
-        assert "partition: index 0 out of range 1..3" in capsys.readouterr().err
+        assert "partition: index must be an integer in 1..3, got 0" in capsys.readouterr().err
         with pytest.raises(ConfigError, match="partition: index must be an integer"):
             parse_config(THREE_LEVEL, {"partition": [[1], ["x"]]})
-        with pytest.raises(ConfigError, match="out of range"):
+        with pytest.raises(ConfigError, match=r"partition: index must be an integer in 1\.\.3, got 0"):
             parse_config(THREE_LEVEL, {"partition": [[0], [1, 2]]})
 
 

@@ -124,7 +124,7 @@ def test_from_bloch_matches_the_contraction(n, kind, seed):
     if kind == "outside":
         # off the state region, beyond the unit ball
         v = rng.standard_normal(n * n - 1)
-        r = BlochVector(n, rng.uniform(1.0, 3.0) * v / np.linalg.norm(v))
+        r = BlochVector(rng.uniform(1.0, 3.0) * v / np.linalg.norm(v))
     else:
         r = to_bloch(_state(rng, n, kind))
     np.testing.assert_allclose(from_bloch(r).entries, reference_from_bloch(r), rtol=0, atol=1e-15)

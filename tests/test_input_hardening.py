@@ -5,27 +5,35 @@ false against any tolerance), non-integer counts and dims must raise
 ContractError rather than escape as a bare TypeError, a value object
 takes numbers only (no strings, objects or bools, no complex numbers in
 a real field, no fractions in counts), and a bad or unreadable config
-must exit 2.
+must exit 2. Whatever nested list, numpy array or integer an entry point
+is given, it returns or raises a BlochSimError, never a bare numpy or
+Python exception, and the CLI's integer fields exit 0 or 2.
 Finite numbers at the ends of the float range raise no warning on the
 way: a residual that overflows fails its check quietly, and the sampler
 never divides by a subnormal Born weight.
 """
 
+import io
 import json
+import re
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blochsim import (
     Barycentric,
     BasisError,
+    BlochSimError,
     BlochVector,
     ContractError,
     DensityMatrix,
+    DimensionError,
     Ket,
     MeasurementBasis,
     MeasurementSimplex,
@@ -34,7 +42,6 @@ from blochsim import (
     RngSeed,
     TrialReport,
     basis_to_simplex,
-    from_bloch,
     geometric_hit_count_oracle,
     run_trials,
     sample_lambda,
@@ -92,7 +99,7 @@ def test_bloch_vector_rejects_non_finite(n, data, bad):
     coords = np.zeros(n * n - 1)
     coords[data.draw(st.integers(0, n * n - 2))] = bad
     with pytest.raises(ContractError, match="non-finite"):
-        BlochVector(n, coords)
+        BlochVector(coords)
 
 
 def test_nan_ket_never_reaches_the_sampler():
@@ -106,7 +113,7 @@ class TestIntegerCounts:
         for bad in (1.5, True):
             with pytest.raises(ContractError, match="seed must be an integer"):
                 RngSeed(bad)
-            with pytest.raises(ContractError, match="stream id must be an integer"):
+            with pytest.raises(ContractError, match="stream must be an integer"):
                 RngSeed(1, stream=bad)
 
     def test_non_integer_trial_count(self):
@@ -126,32 +133,19 @@ class TestIntegerCounts:
         report = run_trials(standard_state_3(), b, np.int64(10), RngSeed(np.uint64(3)))
         assert report.n_trials == 10
 
-    @pytest.mark.parametrize("dim", [2.0, "2", None, True])
-    def test_non_integer_bloch_vector_dim(self, dim):
-        with pytest.raises(ContractError, match="Bloch vector dim must be an integer"):
-            BlochVector(dim, [0.0, 0.0, 1.0])
-
     @pytest.mark.parametrize("n", [3.0, "3", None, True], ids=repr)
     @pytest.mark.parametrize(
         "call, what",
         [
-            (lambda n: sample_lambda(n, np.random.default_rng(0)), "simplex dim"),
-            (MeasurementBasis.canonical, "basis dim"),
-            (lambda n: validate_partition(((0,), (1,)), n), "partition: outcome count"),
+            (lambda n: sample_lambda(n, np.random.default_rng(0)), "simplex dim must be an integer in 2"),
+            (MeasurementBasis.canonical, "basis dim must be an integer in 2"),
+            (lambda n: validate_partition(((0,), (1,)), n), "partition: outcome count must be an integer in 1"),
         ],
         ids=["sample_lambda", "canonical", "validate_partition"],
     )
     def test_non_integer_dim(self, call, what, n):
-        with pytest.raises(ContractError, match=f"^{what} must be an integer, got {n!r}$"):
+        with pytest.raises(ContractError, match=re.escape(f"{what}..{2**63 - 1}, got {n!r}") + "$"):
             call(n)
-
-    def test_numpy_dim_after_a_float_attempt(self):
-        # a float dim once reached the cached index plan under the key np.int64(2) hits
-        with pytest.raises(ContractError):
-            from_bloch(BlochVector(2.0, [0.0, 0.0, 1.0]))
-        r = BlochVector(np.int64(2), [0.0, 0.0, 1.0])
-        assert type(r.dim) is int
-        np.testing.assert_array_equal(from_bloch(r).entries, np.diag([1.0, 0.0]))
 
 
 _S2 = basis_to_simplex(MeasurementBasis.canonical(2))
@@ -163,7 +157,7 @@ VALUE_OBJECTS = {
     "DensityMatrix": (DensityMatrix, [[1, 0], [0, 0]], "c"),
     "MeasurementBasis": (MeasurementBasis, [[1, 0], [0, 1]], "c"),
     "Barycentric": (Barycentric, [1, 0], "f"),
-    "BlochVector": (lambda x: BlochVector(2, x), [0, 0, 1], "f"),
+    "BlochVector": (BlochVector, [0, 0, 1], "f"),
     "MeasurementSimplex": (
         lambda x: MeasurementSimplex(x, _S2.centroid, _S2.frame), [[0, 0, 1], [0, 0, -1]], "f"
     ),
@@ -193,6 +187,154 @@ def test_value_objects_take_numbers_only(name, how):
     for given in (bad, bad.tolist()):
         with pytest.raises(ContractError, match=r"must be (numbers|real numbers|integers), got dtype"):
             build(given)
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_OBJECTS))
+def test_value_objects_reject_ragged_lists(name):
+    build, valid, _ = VALUE_OBJECTS[name]
+    ragged = valid[:-1] + [[valid[-1]]]  # the last entry one level deeper
+    with pytest.raises(ContractError, match="must be a rectangular array, got a ragged sequence"):
+        build(ragged)
+
+
+@pytest.mark.parametrize(
+    "counts", [np.array([2**63, 0], dtype=np.uint64), [2**63]], ids=["uint64 array", "list"]
+)
+@pytest.mark.parametrize("name", [name for name in sorted(VALUE_OBJECTS) if VALUE_OBJECTS[name][2] == "i"])
+def test_int64_fields_quote_a_value_that_does_not_fit(name, counts):
+    # numpy reads the list as uint64, and wraps 2^63 to -2^63 on the way to
+    # int64, a value the caller never passed
+    with pytest.raises(ContractError, match=f"must be at most {2**63 - 1}, got {2**63}$"):
+        VALUE_OBJECTS[name][0](counts)
+
+
+def test_counts_are_summed_without_wrapping():
+    # the int64 sum of these counts wraps to 1, the sample count
+    with pytest.raises(ContractError, match=f"oracle counts sum to {2**64 + 1}, expected 1"):
+        OracleReport(1, [2**63 - 1, 2**63 - 1, 3], 0, 0)
+
+
+_S3 = basis_to_simplex(MeasurementBasis.canonical(3))
+
+
+@pytest.mark.parametrize(
+    "vertices, centroid, frame, error",
+    [
+        (_S3.vertices, _S3.centroid[:-1], _S3.frame, DimensionError),
+        (_S3.vertices, _S3.centroid, _S3.frame[:-1], DimensionError),
+        (_S3.vertices[:, :-1], _S3.centroid[:-1], _S3.frame[:, :-1], DimensionError),
+        (_S3.vertices[0], _S3.centroid, _S3.frame, DimensionError),
+        (np.zeros((1, 0)), np.zeros(0), np.zeros((0, 0)), DimensionError),
+        (_S3.vertices, np.full(8, np.nan), _S3.frame, ContractError),
+    ],
+    ids=["short centroid", "short frame", "short vertices", "one vertex row", "N = 1", "NaN centroid"],
+)
+def test_simplex_checks_its_shapes(vertices, centroid, frame, error):
+    with pytest.raises(error):
+        MeasurementSimplex(vertices, centroid, frame)
+
+
+_VERTEX_3 = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: run_trials(_VERTEX_3, MeasurementBasis.canonical(3), 2**70, RngSeed(0)), ContractError,
+         f"n_trials must be an integer in 1..{2**63 - 1}, got {2**70}"),
+        (lambda: validate_partition(((0,), (1,)), 2**64), ContractError,
+         f"partition: outcome count must be an integer in 1..{2**63 - 1}, got {2**64}"),
+        (lambda: sample_lambda(2**64, np.random.default_rng(0)), DimensionError,
+         f"simplex dim must be an integer in 2..{2**63 - 1}, got {2**64}"),
+        (lambda: MeasurementBasis.canonical(2**64), DimensionError,
+         f"basis dim must be an integer in 2..{2**63 - 1}, got {2**64}"),
+        (lambda: MeasurementBasis.canonical(-1), DimensionError,
+         f"basis dim must be an integer in 2..{2**63 - 1}, got -1"),
+    ],
+    ids=["run_trials", "validate_partition", "sample_lambda", "canonical", "canonical(-1)"],
+)
+def test_integers_beyond_the_machine_range_keep_their_error_class(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+#: Integers of the contract test: -3..40 holds every lower bound and its
+#: neighbours, the rest lie beyond the int64 or uint64 range. No valid count
+#: or dim above 40 is drawn, so no example allocates much or draws for long.
+INTEGERS = st.integers(-3, 40) | st.sampled_from([2**63, -(2**63), 2**64, 2**70, -(2**70)])
+
+
+def _nested_lists(leaves):
+    """Lists nested to any depth, most of them ragged, of up to 12 leaves."""
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+
+
+#: Nested lists of the numbers a JSON config holds, and of every Python number.
+JSON_LISTS = _nested_lists(INTEGERS | st.floats() | st.booleans())
+NESTED_LISTS = _nested_lists(INTEGERS | st.floats() | st.complex_numbers() | st.booleans())
+DTYPES = st.one_of(
+    hnp.boolean_dtypes(), hnp.integer_dtypes(), hnp.unsigned_integer_dtypes(), hnp.floating_dtypes(),
+    hnp.complex_number_dtypes(), hnp.datetime64_dtypes(), hnp.timedelta64_dtypes(),
+    hnp.byte_string_dtypes(), hnp.unicode_string_dtypes(), st.just(np.dtype(object)), st.just(np.dtype("V4")),
+)
+
+
+@st.composite
+def _arrays(draw):
+    """A numpy array of any dtype kind, up to 3 dimensions of up to 4 entries;
+    its integers are drawn from ``INTEGERS``, as far as the dtype holds them."""
+    dtype = draw(DTYPES)
+    elements = None
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        elements = INTEGERS.filter(lambda v: info.min <= v <= info.max)
+    elif dtype.kind == "O":
+        elements = INTEGERS | st.floats()
+    elif dtype.kind == "V":
+        elements = st.binary(min_size=4, max_size=4)
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+ANY = INTEGERS | NESTED_LISTS | _arrays()
+
+#: name -> (the call, its valid arguments). The contract test replaces each
+#: argument by a drawn one, or keeps it where the draw is None. The state is
+#: a vertex: run_trials then draws nothing, whatever the count.
+ENTRY_POINTS = {
+    "Ket": (Ket, ([1, 0],)),
+    "DensityMatrix": (DensityMatrix, ([[1, 0], [0, 0]],)),
+    "MeasurementBasis": (MeasurementBasis, ([[1, 0], [0, 1]],)),
+    "Barycentric": (Barycentric, ([1, 0],)),
+    "BlochVector": (BlochVector, ([0, 0, 1],)),
+    "MeasurementSimplex": (MeasurementSimplex, (_S2.vertices, _S2.centroid, _S2.frame)),
+    "TrialReport": (lambda n, counts: TrialReport(n, Barycentric([1.0, 0.0]), counts), (1, [1, 0])),
+    "OracleReport": (OracleReport, (1, [1, 0], 0, 0)),
+    "RngSeed": (lambda seed, stream: RngSeed(seed, stream).generator(), (0, 0)),
+    "run_trials": (
+        lambda n, partition: run_trials(_VERTEX_3, MeasurementBasis.canonical(3), n, RngSeed(0), partition),
+        (10, None),
+    ),
+    "sample_lambda": (lambda n: sample_lambda(n, np.random.default_rng(0)), (3,)),
+    "MeasurementBasis.canonical": (MeasurementBasis.canonical, (3,)),
+    "validate_partition": (validate_partition, ([[0], [1, 2]], 3)),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(ENTRY_POINTS)), drawn=st.lists(st.none() | ANY, min_size=4, max_size=4))
+@example(name="Ket", drawn=[[[1, 0], [0]], None, None, None])
+@example(name="Barycentric", drawn=[[[1.0], [0.0, 1.0]], None, None, None])
+@example(name="run_trials", drawn=[2**70, None, None, None])
+@example(name="validate_partition", drawn=[None, 2**64, None, None])
+@example(name="sample_lambda", drawn=[2**64, None, None, None])
+@example(name="MeasurementBasis.canonical", drawn=[-1, None, None, None])
+def test_every_entry_point_returns_or_raises_a_blochsim_error(name, drawn):
+    call, valid = ENTRY_POINTS[name]
+    try:
+        call(*(v if d is None else d for v, d in zip(valid, drawn)))
+    except BlochSimError:
+        pass
 
 
 def _main_on(tmp_path, text: str, *flags: str) -> int:
@@ -234,24 +376,36 @@ class TestConfigExitCodes:
     def test_trials_flag_is_validated_as_the_config_field(self, tmp_path, capsys):
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}}'
         assert _main_on(tmp_path, text, "--trials", "0") == 2
-        assert "n_trials: must be >= 1" in capsys.readouterr().err
+        assert f"n_trials: must be an integer in 1..{2**63 - 1}, got 0" in capsys.readouterr().err
 
     def test_seed_flag_is_validated_as_the_config_field(self, tmp_path, capsys):
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}}'
         assert _main_on(tmp_path, text, "--seed", str(2**64)) == 2
-        assert f"seed: must be an unsigned 64-bit integer, got {2**64}" in capsys.readouterr().err
+        assert f"seed: must be an integer in 0..{2**64 - 1}, got {2**64}" in capsys.readouterr().err
 
     def test_negative_seed_names_the_seed_field_once(self, tmp_path, capsys):
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "seed": -1}'
         assert _main_on(tmp_path, text) == 2
         err = capsys.readouterr().err
-        assert "seed: must be an unsigned 64-bit integer, got -1" in err
+        assert f"seed: must be an integer in 0..{2**64 - 1}, got -1" in err
         assert err.count("seed") == 1
 
     def test_negative_stream_names_the_stream_field(self, tmp_path, capsys):
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "stream": -1}'
         assert _main_on(tmp_path, text) == 2
-        assert "stream: must be >= 0, got -1" in capsys.readouterr().err
+        assert "stream: must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    def test_integer_fields_name_the_field_once(self, tmp_path, capsys):
+        # n_trials 2^70 once escaped as an OverflowError traceback with exit 1
+        cases = [("n_trials", 2**70), ("n_trials", -(2**70)), ("seed", 2**70), ("stream", -(2**70)),
+                 ("dim", 1), ("dim", True), ("dim", 2.0), ("dim", 2**70)]
+        path = tmp_path / "cfg.json"
+        for field, value in cases:
+            path.write_text(json.dumps({"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, field: value}))
+            assert main(["--config", str(path)]) == 2, (field, value)
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {field}: must be an integer ") and err.count(field) == 1
+            assert err.endswith(f", got {value!r}\n")
 
     @pytest.mark.parametrize("entry", ["1", True], ids=["string", "bool"])
     @pytest.mark.parametrize("field", ["state.ket", "state.density", "basis"])
@@ -276,6 +430,21 @@ class TestConfigExitCodes:
         text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "trace": true}'
         assert _main_on(tmp_path, text, "--format", "csv") == 2
         assert "format:" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field=st.sampled_from(["dim", "n_trials", "seed", "stream"]), value=INTEGERS | JSON_LISTS)
+@example(field="n_trials", value=2**70)
+@example(field="stream", value=2**70)
+def test_integer_fields_exit_0_or_2(tmp_path_factory, field, value):
+    path = tmp_path_factory.mktemp("integers") / "cfg.json"
+    config = {"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "n_trials": 10, field: value}
+    path.write_text(json.dumps(config))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(["--config", str(path)])
+    assert code in (0, 2)
+    if err.getvalue().startswith(f"config error: {field}: "):
+        assert err.getvalue().count(field) == 1
 
 
 #: Finite magnitudes at both ends of the float range: near float max (their
@@ -328,7 +497,7 @@ def test_extreme_magnitudes_exit_without_a_warning(tmp_path_factory, case):
 
 @pytest.mark.parametrize(
     "field, message",
-    [("state.ket", "ket is not unit-normalized: sum |psi_k|^2 = inf"), ("basis", "basis is not orthonormal")],
+    [("state.ket", "ket is not unit-normalized: sum |psi_k|^2 = inf"), ("basis", "is not orthonormal")],
 )
 def test_entry_near_float_max_is_a_quiet_config_error(tmp_path, capsys, field, message):
     with warnings.catch_warnings():

@@ -25,6 +25,11 @@ The Born contraction ``einsum("ij,jk,ik->i", ...)`` is written in
 ``simplex.born_probabilities`` alone, and the test for the computational
 basis, a comparison with ``eye``, in ``MeasurementBasis.__post_init__``
 alone, so no second Born path or identity shortcut can grow.
+
+Every integer a caller passes is checked by ``bloch._as_integer``, the one
+caller of ``operator.index``, and ``cli.py`` asks no ``isinstance(..., int)``
+of a config value, so no second integer check with its own bounds and
+messages grows back.
 """
 
 import ast
@@ -168,3 +173,19 @@ def test_born_contraction_and_identity_test_live_in_one_place():
                 identity_tests.add((path.name, fn))
     assert contractions == {("simplex.py", "born_probabilities")}
     assert identity_tests == {("simplex.py", "__post_init__")}
+
+
+def _checks_for_int(call: ast.Call) -> bool:
+    """``isinstance(x, int)``, with ``int`` alone or in a tuple of types."""
+    return (_name(call.func) == "isinstance" and len(call.args) == 2
+            and any(isinstance(node, ast.Name) and node.id == "int" for node in ast.walk(call.args[1])))
+
+
+def test_integers_are_checked_in_one_place():
+    index_calls = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        index_calls |= {(path.name, fn) for fn, call in _calls(ast.parse(path.read_text()))
+                        if _name(call.func) == "index"}
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    assert index_calls == {("bloch.py", "_as_integer")}
+    assert [ast.unparse(call) for _, call in _calls(cli) if _checks_for_int(call)] == []

@@ -29,7 +29,7 @@ from blochsim import (
     geometric_hit_count_oracle,
 )
 from blochsim import sampler
-from blochsim.errors import ContractError, DimensionError, GeometryError
+from blochsim.errors import DimensionError, GeometryError
 from blochsim.sampler import (
     OracleReport,
     _CHUNK_ELEMS,
@@ -50,9 +50,7 @@ def reference_oracle(
     rng: np.random.Generator,
     simplex: MeasurementSimplex,
 ) -> OracleReport:
-    n_samples = _as_integer(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ContractError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _as_integer(n_samples, "n_samples", 1)
     pw = rpar.weights
     if not float(pw.min()) > BOUNDARY_TOL:
         raise GeometryError("oracle requires r_par strictly inside the simplex")

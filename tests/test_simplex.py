@@ -129,7 +129,7 @@ class TestGeometry:
 
 class TestProjection:
     def test_on_simplex_point_is_fixed(self, s3):
-        point = BlochVector(3, 0.2 * s3.vertices[0] + 0.5 * s3.vertices[1] + 0.3 * s3.vertices[2])
+        point = BlochVector(0.2 * s3.vertices[0] + 0.5 * s3.vertices[1] + 0.3 * s3.vertices[2])
         proj = project_onto_simplex(point, s3)
         np.testing.assert_allclose(proj.coords, point.coords, atol=1e-12)
 
@@ -158,28 +158,28 @@ class TestProjection:
 
     def test_projection_of_far_outside_point_raises(self, s3):
         # an invalid 'state' far outside the ball projects outside the simplex
-        far = BlochVector(3, 5.0 * (s3.vertices[0] - s3.vertices[1]) + s3.vertices[2])
+        far = BlochVector(5.0 * (s3.vertices[0] - s3.vertices[1]) + s3.vertices[2])
         with pytest.raises(GeometryError):
             project_onto_simplex(far, s3)
 
 
 class TestBarycentric:
     def test_vertex(self, s3):
-        bc = barycentric_of(BlochVector(3, s3.vertices[1]), s3)
+        bc = barycentric_of(BlochVector(s3.vertices[1]), s3)
         np.testing.assert_allclose(bc.weights, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_centroid(self, s3):
-        bc = barycentric_of(BlochVector(3, s3.centroid), s3)
+        bc = barycentric_of(BlochVector(s3.centroid), s3)
         np.testing.assert_allclose(bc.weights, np.full(3, 1 / 3), atol=1e-12)
 
     def test_off_hull_point_rejected(self, s3):
         off = np.zeros(8)
         off[0] = 0.5
         with pytest.raises(GeometryError):
-            barycentric_of(BlochVector(3, off), s3)
+            barycentric_of(BlochVector(off), s3)
 
     def test_outside_simplex_point_rejected(self, s3):
-        outside = BlochVector(3, 1.2 * s3.vertices[0] - 0.2 * s3.vertices[1])
+        outside = BlochVector(1.2 * s3.vertices[0] - 0.2 * s3.vertices[1])
         with pytest.raises(GeometryError):
             barycentric_of(outside, s3)
         # but its affine weights are solvable and reproduce the combination
@@ -239,11 +239,11 @@ class TestBornProbabilities:
 
 class TestSubregionMeasures:
     def test_centroid_splits_evenly(self, s3):
-        ratios = subregion_ratios(BlochVector(3, s3.centroid), s3)
+        ratios = subregion_ratios(BlochVector(s3.centroid), s3)
         np.testing.assert_allclose(ratios, np.full(3, 1 / 3), rtol=0, atol=1e-13)
 
     def test_vertex_degenerates(self, s3):
-        ratios = subregion_ratios(BlochVector(3, s3.vertices[0]), s3)
+        ratios = subregion_ratios(BlochVector(s3.vertices[0]), s3)
         assert ratios[0] == pytest.approx(1.0, abs=1e-13)
         np.testing.assert_allclose(ratios[1:], 0.0, atol=1e-13)
 
@@ -271,7 +271,7 @@ class TestSubregionMeasures:
             assert abs(subregion_ratios(rpar, s).sum() - 1.0) <= 1e-13
 
     def test_outside_point_rejected(self, s3):
-        outside = BlochVector(3, 1.2 * s3.vertices[0] - 0.2 * s3.vertices[1])
+        outside = BlochVector(1.2 * s3.vertices[0] - 0.2 * s3.vertices[1])
         with pytest.raises(GeometryError):
             subregion_ratios(outside, s3)
 
@@ -281,5 +281,5 @@ def test_simplex_beyond_the_factorial_range():
     s = canonical_simplex(172)
     assert s.total_measure == pytest.approx(1.7398e-308, rel=1e-4)
     p = np.random.default_rng(172).dirichlet(np.ones(172))
-    ratios = subregion_ratios(BlochVector(172, p @ s.vertices), s)
+    ratios = subregion_ratios(BlochVector(p @ s.vertices), s)
     np.testing.assert_allclose(ratios, p, rtol=0, atol=1e-13)

@@ -33,7 +33,7 @@ def _cases():
     return {
         "Ket": (Ket, "amplitudes", random_ket(rng, N).amplitudes),
         "DensityMatrix": (DensityMatrix, "entries", d.entries),
-        "BlochVector": (lambda x: BlochVector(N, x), "coords", to_bloch(d).coords),
+        "BlochVector": (BlochVector, "coords", to_bloch(d).coords),
         "Barycentric": (Barycentric, "weights", np.array([0.1, 0.2, 0.3, 0.4])),
         "MeasurementBasis": (MeasurementBasis, "kets", b.kets),
         "MeasurementSimplex.vertices": (
