@@ -37,7 +37,7 @@ from pathlib import Path
 from .bloch import DensityMatrix, Ket, _as_integer, ket_to_density
 from .collapse import run_measurement
 from .errors import BlochSimError, ConfigError, ContractError, DimensionError
-from .sampler import RngSeed, _set_partition, geometric_hit_count_oracle, run_trials
+from .sampler import RngSeed, _fuse, _set_partition, geometric_hit_count_oracle, run_trials
 from .serialize import (
     dumps,
     oracle_report_to_dict,
@@ -258,9 +258,8 @@ def _render(cfg: ExperimentConfig) -> str:
             simplex=simplex,
         )
         # it classifies the report's lambda stream: each tie may move one count
-        counts, reported = oracle.counts.tolist(), report.counts.tolist()
-        if cfg.partition is not None:
-            counts = [sum(counts[i] for i in blk) for blk in cfg.partition]
+        counts = oracle.counts if cfg.partition is None else _fuse(oracle.counts, cfg.partition)
+        counts, reported = counts.tolist(), report.counts.tolist()
         distance = sum(abs(a - b) for a, b in zip(counts, reported))
         if distance > 2 * oracle.ties:
             raise ContractError(f"oracle counts {counts} differ from the reported counts "

@@ -13,8 +13,9 @@ A run produces an inspectable trace of snapshots:
 
 A stage stores its density matrix; ``stage.vector`` maps it to Bloch
 coordinates on access, so a run that reads only outcomes and densities
-computes no Bloch vector. In the computational basis the reduced state
-is the diagonal of the Born weights, built without a contraction.
+computes no Bloch vector. The reduced stage, and the collapsed stage of a
+partitioned run, are basis-diagonal states; in the computational basis
+both are written onto the diagonal, without a contraction.
 
 Snapshots are discrete; the dynamics between them is not modeled.
 """
@@ -26,15 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochVector, DensityMatrix, to_bloch
-from .sampler import (
-    Barycentric,
-    RngSeed,
-    _lueders,
-    classify,
-    sample_lambda,
-    validate_partition,
-)
-from .simplex import MeasurementBasis, born_probabilities
+from .sampler import RngSeed, _draw, _lueders, validate_partition
+from .simplex import Barycentric, MeasurementBasis, born_probabilities
 
 
 @dataclass(frozen=True)
@@ -62,36 +56,27 @@ class ProcessTrace:
     outcome: int
     lambda_point: Barycentric
 
-    def stage(self, label: str) -> ProcessStage:
-        for s in self.stages:
-            if s.label == label:
-                return s
-        raise KeyError(label)
-
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.stages)
 
 
-def _diagonal(p: np.ndarray, kets: np.ndarray) -> DensityMatrix:
-    """sum_j p_j |a_j><a_j| over the rows |a_j> of kets.
+def _diagonal(p: np.ndarray, b: MeasurementBasis, rows=slice(None)) -> DensityMatrix:
+    """sum_j p_j |a_j><a_j| over the basis kets |a_j> = ``b.kets[rows]``, one weight each.
 
     Two operands, p_j a_j first: bit for bit the three-operand
     ``einsum("j,ji,jk->ik", p, kets, kets.conj())``, signed zeros included.
-    """
-    return DensityMatrix(np.einsum("ji,jk->ik", p[:, None] * kets, kets.conj()))
-
-
-def _reduced(p: np.ndarray, b: MeasurementBasis) -> DensityMatrix:
-    """sum_j p_j |a_j><a_j| over the whole basis.
-
-    In the computational basis that is diag(p + 0.0): the contraction adds
-    one nonzero term to each diagonal entry and signed zeros elsewhere,
-    all onto +0.0, so the bits are the same.
+    In the computational basis that is p + 0.0 on those rows' diagonal
+    entries and +0.0 elsewhere: the contraction adds one p_j term to each
+    of those entries and signed zeros everywhere, all onto +0.0, so the
+    bits are the same.
     """
     if b._is_identity:
-        return DensityMatrix(np.diag(p + 0.0))
-    return _diagonal(p, b.kets)
+        diag = np.zeros(b.dim)
+        diag[rows] = p + 0.0
+        return DensityMatrix(np.diag(diag))
+    kets = b.kets[rows]
+    return DensityMatrix(np.einsum("ji,jk->ik", p[:, None] * kets, kets.conj()))
 
 
 def reduce_state(d: DensityMatrix, b: MeasurementBasis) -> DensityMatrix:
@@ -100,7 +85,7 @@ def reduce_state(d: DensityMatrix, b: MeasurementBasis) -> DensityMatrix:
     Diagonal in the measurement basis, idempotent, and Bloch-equivalent
     to the orthogonal projection of D's vector onto the simplex.
     """
-    return _reduced(born_probabilities(d, b).weights, b)
+    return _diagonal(born_probabilities(d, b).weights, b)
 
 
 def run_measurement(
@@ -118,21 +103,18 @@ def run_measurement(
     p_i / P(K), and a final purification applies the Lueders formula.
     Deterministic given the seed.
     """
-    p = born_probabilities(d, b)
-    n = d.dim
-    reduced = _reduced(p.weights, b)
-    lam = sample_lambda(n, seed.generator())
-    i = classify(lam, p)
+    blocks = None if partition is None else validate_partition(partition, d.dim)
+    p, lam, i = _draw(d, b, seed.generator())
+    reduced = _diagonal(p.weights, b)
 
-    if partition is None:
+    if blocks is None:
         labels = ("initial", "reduced", "collapsed")
         densities = (d, reduced, b.projector(i))
         outcome = i
     else:
-        outcome, members, purified = _lueders(d, b, validate_partition(partition, n), p, i)
-        on_block = p.weights[members] / float(p.weights[members].sum())
+        outcome, members, weight, purified = _lueders(d, b, blocks, p, i)
         labels = ("initial", "reduced", "collapsed", "purified")
-        densities = (d, reduced, _diagonal(on_block, b.kets[members]), purified)
+        densities = (d, reduced, _diagonal(p.weights[members] / weight, b, members), purified)
 
     stages = tuple(ProcessStage(label, rho) for label, rho in zip(labels, densities))
     return ProcessTrace(stages=stages, outcome=outcome, lambda_point=lam)

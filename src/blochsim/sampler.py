@@ -117,6 +117,7 @@ Ties (boundary lambdas, measure zero) break to the smallest index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -370,13 +371,19 @@ def classify(lam: Barycentric, p: Barycentric) -> int:
     return int(np.argmin(_ratios(lam.weights, p.weights)))
 
 
+def _draw(d: DensityMatrix, b: MeasurementBasis, rng: np.random.Generator):
+    """One shot's symmetry breaking: the Born weights p of d in b, a uniform
+    lambda and the outcome i, the sub-region A_i that holds lambda."""
+    p = born_probabilities(d, b)
+    lam = sample_lambda(d.dim, rng)
+    return p, lam, classify(lam, p)
+
+
 def measure_once(
     d: DensityMatrix, b: MeasurementBasis, rng: np.random.Generator
 ) -> tuple[int, DensityMatrix]:
     """One collapse: sample lambda, classify, return (outcome, |a_i><a_i|)."""
-    p = born_probabilities(d, b)
-    lam = sample_lambda(d.dim, rng)
-    i = classify(lam, p)
+    _, _, i = _draw(d, b, rng)
     return i, b.projector(i)
 
 
@@ -401,8 +408,12 @@ def _set_partition(partition, labels: range) -> tuple[tuple[int, ...], ...]:
             if i in seen:
                 raise ContractError(f"duplicate index {i}")
             seen.add(i)
-    if len(seen) != len(labels):
-        raise ContractError(f"does not cover outcomes {sorted(set(labels) - seen)}")
+    missing = len(labels) - len(seen)
+    if missing:
+        # the first five missing labels lie within the first len(seen) + 5
+        first = list(islice((i for i in labels if i not in seen), 5))
+        what = f"outcomes {first}" if missing <= 5 else f"{missing} outcomes, first {first}"
+        raise ContractError(f"does not cover {what}")
     return blocks
 
 
@@ -419,18 +430,19 @@ def validate_partition(partition, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _lueders(d: DensityMatrix, b: MeasurementBasis, blocks, p: Barycentric, i: int):
-    """Class k of outcome i, its member outcomes and the Lueders post-state.
+    """Class k of outcome i, its member outcomes, its Born weight and the Lueders post-state.
 
     The post-state is P_K D P_K / Tr(P_K D P_K), P_K the block projector.
     """
     k = next(k for k, blk in enumerate(blocks) if i in blk)
     members = np.asarray(blocks[k], dtype=np.intp)
-    if float(p.weights[members].sum()) <= 0.0:
+    weight = float(p.weights[members].sum())
+    if weight <= 0.0:
         raise ContractError("sampled a zero-probability class; classification is broken")
     kets = b.kets[members]
     proj = kets.T @ kets.conj()
     m = proj @ d.entries @ proj
-    return k, members, DensityMatrix(m / float(m.trace().real))
+    return k, members, weight, DensityMatrix(m / float(m.trace().real))
 
 
 def measure_degenerate(
@@ -449,10 +461,14 @@ def measure_degenerate(
     ContractError.
     """
     blocks = validate_partition(partition, d.dim)
-    p = born_probabilities(d, b)
-    i = classify(sample_lambda(d.dim, rng), p)
-    k, _, post = _lueders(d, b, blocks, p, i)
+    p, _, i = _draw(d, b, rng)
+    k, _, _, post = _lueders(d, b, blocks, p, i)
     return k, post
+
+
+def _fuse(values: np.ndarray, blocks) -> np.ndarray:
+    """The sums of ``values`` over each partition block, in block order."""
+    return np.array([values[np.asarray(blk, dtype=np.intp)].sum() for blk in blocks])
 
 
 def run_trials(
@@ -493,10 +509,7 @@ def run_trials(
 
     if blocks is None:
         return TrialReport(n_trials, p, counts)
-
-    class_counts = np.array([counts[np.asarray(blk, dtype=np.intp)].sum() for blk in blocks])
-    class_probs = np.array([pw[np.asarray(blk, dtype=np.intp)].sum() for blk in blocks])
-    return TrialReport(n_trials, Barycentric(class_probs), class_counts)
+    return TrialReport(n_trials, Barycentric(_fuse(pw, blocks)), _fuse(counts, blocks))
 
 
 def _argmin_and_gap(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

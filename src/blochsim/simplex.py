@@ -91,7 +91,7 @@ class Barycentric:
         w = _numbers(self.weights, np.float64, "barycentric weights")
         if w.ndim != 1 or w.size < 1:
             raise DimensionError(f"barycentric weights must be a nonempty vector, got shape {w.shape}")
-        total = float(w.sum())
+        total = sum(w.tolist())  # Python floats: an overflow is inf, not a RuntimeWarning
         if not abs(total - 1.0) <= ALGEBRA_TOL:
             raise ContractError(f"barycentric weights sum to {total!r}, expected 1")
         low = float(w.min())

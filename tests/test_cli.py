@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blochsim
-from blochsim import ConfigError, ContractError, validate_partition
+from blochsim import ConfigError, ContractError, OracleReport, validate_partition
 from blochsim.cli import main, parse_config, run_experiment
 from blochsim.serialize import matrix_to_pairs
 from util import config_with_entry, random_basis
@@ -281,6 +281,29 @@ class TestRunExperiment:
         err = capsys.readouterr().err
         assert "oracle counts [2547, 1479, 974] differ from the reported counts" in err
         assert err.endswith("by 2 > 2 x 0 ties\n")
+
+    @pytest.mark.parametrize("partition", [None, ((0,), (1, 2))])
+    def test_oracle_check_lets_each_tie_move_one_count(self, capsys, monkeypatch, partition):
+        race, oracle = blochsim.sampler._column_race, blochsim.cli.geometric_hit_count_oracle
+
+        def misplacing(blocks, p, sup, rows, counts):
+            race(blocks, p, sup, rows, counts)
+            counts[0] -= 1
+            counts[1] += 1
+
+        def one_tie(*args, **kwargs):
+            report = oracle(*args, **kwargs)
+            return OracleReport(report.n_samples, report.counts, 1, report.disagreements)
+
+        monkeypatch.setattr(blochsim.sampler, "_column_race", misplacing)
+        monkeypatch.setattr(blochsim.cli, "geometric_hit_count_oracle", one_tie)
+        cfg = parse_config(THREE_LEVEL)
+        cfg.n_trials = 5000
+        cfg.partition = partition
+        cfg.oracle_check = True
+        # one moved count puts the (fused) counts 2 apart: within 2 x 1 tie
+        assert run_experiment(cfg) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"]["ties"] == 1
 
     def test_oracle_on_vertex_state_is_a_contract_violation(self, capsys):
         cfg = parse_config(MINIMAL)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import blochsim.bloch
 from blochsim import (
+    ContractError,
     DensityMatrix,
     DimensionError,
     Ket,
@@ -21,7 +22,7 @@ from blochsim import (
     run_trials,
     to_bloch,
 )
-from blochsim.collapse import _diagonal, _reduced
+from blochsim.collapse import _diagonal
 from util import projector_mixture, random_basis, random_density, random_ket, standard_state_3
 
 B3 = MeasurementBasis.canonical(3)
@@ -99,12 +100,14 @@ def _weights(rng, n):
 def test_diagonal_is_bitwise_the_three_operand_einsum(n):
     rng = np.random.default_rng(900 + n)
     for kets in _bases(rng, n):
+        b = MeasurementBasis(kets)
         for p in _weights(rng, n):
             members = np.sort(rng.permutation(n)[: int(rng.integers(1, n + 1))])
             on_block = rng.dirichlet(np.ones(members.size))
-            for w, k in ((p, kets), (on_block, kets[members])):
+            for w, rows in ((p, slice(None)), (on_block, members)):
+                k = b.kets[rows]
                 expected = np.einsum("j,ji,jk->ik", w, k, k.conj())
-                got = _diagonal(w, k).entries
+                got = _diagonal(w, b, rows).entries
                 np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
@@ -181,10 +184,23 @@ def test_computational_basis_is_bitwise_the_general_contraction(n):
             _same_bits(born_probabilities(d, b).weights, p.real)
             _same_bits(reduce_state(d, b).entries, _reference_reduced(p.real, b.kets))
         for w in _weights_with_signed_zeros(rng, n):
-            _same_bits(_reduced(w, b).entries, _reference_reduced(w, b.kets))
+            _same_bits(_diagonal(w, b).entries, _reference_reduced(w, b.kets))
+            # the collapsed stage of a partitioned run: member rows in block
+            # order, weights over a class of positive weight
+            for size in (1, int(rng.integers(1, n + 1)), n):
+                members = rng.permutation(n)[:size]
+                if not w[members].sum() > 0.0:
+                    continue
+                on_block = w[members] / w[members].sum()
+                _same_bits(_diagonal(on_block, b, members).entries,
+                           _reference_reduced(on_block, b.kets[members]))
 
 
 class _BlochMapCalled(Exception):
+    pass
+
+
+class _Drawn(Exception):
     pass
 
 
@@ -223,8 +239,8 @@ class TestRunMeasurement:
         s = basis_to_simplex(B3)
         trace = run_measurement(standard_state_3(), B3, seed=RngSeed(7))
         assert trace.labels == ("initial", "reduced", "collapsed")
-        assert trace.stage("initial").vector.norm == pytest.approx(1.0, abs=1e-10)
-        collapsed = trace.stage("collapsed").vector.coords
+        assert trace.stages[0].vector.norm == pytest.approx(1.0, abs=1e-10)
+        collapsed = trace.stages[2].vector.coords
         np.testing.assert_allclose(collapsed, s.vertices[trace.outcome], atol=1e-10)
 
     def test_reduced_stage_is_the_projection(self):
@@ -233,8 +249,8 @@ class TestRunMeasurement:
         for seed in range(5):
             d = ket_to_density(random_ket(rng, 3))
             trace = run_measurement(d, B3, seed=RngSeed(seed))
-            projected = project_onto_simplex(trace.stage("initial").vector, s)
-            reduced = trace.stage("reduced").vector
+            projected = project_onto_simplex(trace.stages[0].vector, s)
+            reduced = trace.stages[1].vector
             assert np.linalg.norm(projected.coords - reduced.coords) <= 1e-10
 
     def test_every_stage_has_unit_trace(self):
@@ -257,11 +273,11 @@ class TestRunMeasurement:
             seed += 1
             seen.add(trace.outcome)
             assert trace.labels == ("initial", "reduced", "collapsed", "purified")
-            assert trace.stage("purified").vector.norm == pytest.approx(1.0, abs=1e-10)
+            assert trace.stages[3].vector.norm == pytest.approx(1.0, abs=1e-10)
             if trace.outcome == 1:
-                collapsed = trace.stage("collapsed").density.entries
+                collapsed = trace.stages[2].density.entries
                 np.testing.assert_allclose(collapsed, np.diag([0.0, 0.6, 0.4]), atol=1e-12)
-                purified = trace.stage("purified").density
+                purified = trace.stages[3].density
                 target = np.sqrt([0.0, 0.6, 0.4])
                 np.testing.assert_allclose(purified.entries, np.outer(target, target), atol=1e-12)
 
@@ -273,7 +289,7 @@ class TestRunMeasurement:
             trace = run_measurement(d, b, partition=blocks, seed=RngSeed(s, stream=1))
             k, post = measure_degenerate(d, b, blocks, RngSeed(s, stream=1).generator())
             assert trace.outcome == k
-            np.testing.assert_array_equal(trace.stage("purified").density.entries, post.entries)
+            np.testing.assert_array_equal(trace.stages[3].density.entries, post.entries)
 
     def test_degenerate_class_probabilities_are_block_sums(self):
         d = standard_state_3()
@@ -295,10 +311,18 @@ class TestRunMeasurement:
         with pytest.raises(DimensionError):
             run_measurement(ket_to_density(Ket([1, 0])), B3, seed=RngSeed(0))
 
+    def test_partition_is_checked_before_the_draw(self, monkeypatch):
+        def refuse(seed):
+            raise _Drawn
+
+        monkeypatch.setattr(RngSeed, "generator", refuse)
+        with pytest.raises(ContractError, match=r"^partition: duplicate index 0$"):
+            run_measurement(standard_state_3(), B3, partition=[[0], [0, 1, 2]], seed=RngSeed(0))
+
     def test_mixed_input_keeps_reduced_norm_below_one(self):
         d = DensityMatrix(np.diag([0.5, 0.25, 0.25]))
         trace = run_measurement(d, B3, seed=RngSeed(5))
-        assert trace.stage("initial").vector.norm < 1.0 - 1e-6
+        assert trace.stages[0].vector.norm < 1.0 - 1e-6
 
 
 def _lueders_post_state(d: DensityMatrix, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,9 +364,9 @@ def test_post_state_is_the_lueders_projection_in_a_haar_basis(n, seed, pure, par
         k, post = measure_degenerate(d, b, blocks, RngSeed(s).generator())
         _check_post_state(post.entries, d, b.kets[blocks[k]])
         trace = run_measurement(d, b, partition=blocks, seed=RngSeed(s))
-        _check_post_state(trace.stage("purified").density.entries, d, b.kets[blocks[trace.outcome]])
+        _check_post_state(trace.stages[3].density.entries, d, b.kets[blocks[trace.outcome]])
         # without a partition the collapse lands on the outcome's projector
         i, post = measure_once(d, b, RngSeed(s).generator())
         _check_post_state(post.entries, d, b.kets[[i]])
         trace = run_measurement(d, b, seed=RngSeed(s))
-        _check_post_state(trace.stage("collapsed").density.entries, d, b.kets[[trace.outcome]])
+        _check_post_state(trace.stages[2].density.entries, d, b.kets[[trace.outcome]])

@@ -504,3 +504,11 @@ def test_entry_near_float_max_is_a_quiet_config_error(tmp_path, capsys, field, m
         warnings.simplefilter("error")
         assert _main_on(tmp_path, config_with_entry(field, 1e308)) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: {message}")
+
+
+@pytest.mark.parametrize("weights", [[1.7e308, 1.7e308], [1e308, 1e308, -1e308], [np.inf, -np.inf]])
+def test_barycentric_sum_overflow_is_a_quiet_contract_error(weights):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=r"^barycentric weights sum to (inf|nan), expected 1$"):
+            Barycentric(weights)

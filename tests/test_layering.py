@@ -30,6 +30,13 @@ Every integer a caller passes is checked by ``bloch._as_integer``, the one
 caller of ``operator.index``, and ``cli.py`` asks no ``isinstance(..., int)``
 of a config value, so no second integer check with its own bounds and
 messages grows back.
+
+A single shot breaks the symmetry in one step, ``sampler._draw``, the one
+caller of ``sample_lambda`` and ``classify``. Basis-diagonal states are
+built by ``collapse._diagonal`` alone, the one place of the contraction
+``einsum("ji,jk->ik", ...)``, and the computational-basis flag
+``_is_identity`` is read only there and in ``born_probabilities``, so no
+second collapse path or diagonal shortcut grows back.
 """
 
 import ast
@@ -152,6 +159,14 @@ def test_frame_systems_and_determinants_live_in_simplex():
 
 
 BORN_SUBSCRIPTS = "ij,jk,ik->i"
+DIAGONAL_SUBSCRIPTS = "ji,jk->ik"
+
+
+def _is_einsum(node: ast.AST, subscripts: str) -> bool:
+    """``einsum(subscripts, ...)``, spaces in the subscripts ignored."""
+    return (isinstance(node, ast.Call) and _name(node.func) == "einsum" and bool(node.args)
+            and isinstance(node.args[0], ast.Constant)
+            and str(node.args[0].value).replace(" ", "") == subscripts)
 
 
 def _compares_with_eye(node: ast.AST) -> bool:
@@ -165,9 +180,7 @@ def test_born_contraction_and_identity_test_live_in_one_place():
     contractions, identity_tests = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         for fn, node in _nodes(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and _name(node.func) == "einsum" and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and str(node.args[0].value).replace(" ", "") == BORN_SUBSCRIPTS):
+            if _is_einsum(node, BORN_SUBSCRIPTS):
                 contractions.add((path.name, fn))
             if _compares_with_eye(node):
                 identity_tests.add((path.name, fn))
@@ -189,3 +202,25 @@ def test_integers_are_checked_in_one_place():
     cli = ast.parse((PACKAGE / "cli.py").read_text())
     assert index_calls == {("bloch.py", "_as_integer")}
     assert [ast.unparse(call) for _, call in _calls(cli) if _checks_for_int(call)] == []
+
+
+def _sites(predicate) -> set:
+    """(module, enclosing function) of every library node the predicate accepts."""
+    sites = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        sites |= {(path.name, fn) for fn, node in _nodes(ast.parse(path.read_text())) if predicate(node)}
+    return sites
+
+
+def _calls_to(name: str):
+    return lambda node: isinstance(node, ast.Call) and _name(node.func) == name
+
+
+def test_one_draw_step_and_one_basis_diagonal_builder():
+    draw = {("sampler.py", "_draw")}
+    assert _sites(_calls_to("sample_lambda")) == draw
+    assert _sites(_calls_to("classify")) == draw
+    diagonal = ("collapse.py", "_diagonal")
+    assert _sites(lambda node: _is_einsum(node, DIAGONAL_SUBSCRIPTS)) == {diagonal}
+    reads_identity = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_is_identity")
+    assert reads_identity == {("simplex.py", "born_probabilities"), diagonal}

@@ -547,6 +547,16 @@ class TestPartitionValidation:
         with pytest.raises(ContractError):
             validate_partition(bad, 3)
 
+    def test_missing_labels_are_named_briefly(self):
+        with pytest.raises(ContractError, match=r"^partition: does not cover outcomes \[1, 2, 3, 4, 5\]$"):
+            validate_partition([[0]], 6)
+        # the message and the work are bounded, whatever the outcome count
+        for n in (8, 10**6, 2**40):
+            with pytest.raises(ContractError) as exc:
+                validate_partition([[0], [2]], n)
+            assert str(exc.value) == f"partition: does not cover {n - 2} outcomes, first [1, 3, 4, 5, 6]"
+            assert len(str(exc.value)) < 200
+
 
 class TestMeasureDegenerate:
     def test_singletons_match_measure_once_streamwise(self):
