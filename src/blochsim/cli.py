@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -112,24 +113,14 @@ def _as_bool(raw, field: str) -> bool:
     return raw
 
 
-def _pairs(raw, field: str, shape: tuple[int, ...]):
-    """The config field's [re, im] pairs as a complex array of ``shape``."""
-    try:
-        return pairs_to_array(raw, shape)
-    except (TypeError, ValueError) as exc:
-        _fail(field, str(exc))
-
-
 def _parse_state(raw, dim: int) -> DensityMatrix:
     if not isinstance(raw, dict) or set(raw) not in ({"ket"}, {"density"}):
         _fail("state", "expected an object with exactly one of 'ket' or 'density'")
     if "ket" in raw:
-        amps = _pairs(raw["ket"], "state.ket", (dim,))
         with _fields("state.ket"):
-            return ket_to_density(Ket(amps))
-    entries = _pairs(raw["density"], "state.density", (dim, dim))
+            return ket_to_density(Ket(pairs_to_array(raw["ket"], (dim,))))
     with _fields("state.density"):
-        d = DensityMatrix(entries)
+        d = DensityMatrix(pairs_to_array(raw["density"], (dim, dim)))
     if not d.is_positive_semidefinite():
         _fail("state.density", f"is not positive semidefinite (min eigenvalue {d.min_eigenvalue():.3e})")
     return d
@@ -138,9 +129,8 @@ def _parse_state(raw, dim: int) -> DensityMatrix:
 def _parse_basis(raw, dim: int) -> MeasurementBasis:
     if raw is None:
         return MeasurementBasis.canonical(dim)
-    kets = _pairs(raw, "basis", (dim, dim))
     with _fields("basis"):
-        return MeasurementBasis(kets)
+        return MeasurementBasis(pairs_to_array(raw, (dim, dim)))
 
 
 def _split_partition_flag(text: str) -> list[list[int]]:
@@ -149,7 +139,10 @@ def _split_partition_flag(text: str) -> list[list[int]]:
     for token in (token for blk in blocks for token in blk):
         if not (token.isascii() and token.isdigit()):
             _fail("partition", f"expected positive integers, got {token!r}")
-    return [[int(token) for token in blk] for blk in blocks]
+    try:
+        return [[int(token) for token in blk] for blk in blocks]
+    except ValueError as exc:  # a label beyond Python's digit limit
+        _fail("partition", str(exc))
 
 
 def _read_config(path: Path) -> str:
@@ -176,6 +169,9 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(
             f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer beyond Python's digit limit, or nesting beyond the recursion limit
+        raise ConfigError(f"config parse error: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
@@ -211,8 +207,15 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         _fail("format", f"expected 'json' or 'csv', got {out_format!r}")
 
     out = raw.get("out")
-    if out is not None and not (isinstance(out, str) and out):
-        _fail("out", f"expected a nonempty path string, got {out!r}")
+    if out is not None:
+        if not (isinstance(out, str) and out):
+            _fail("out", f"expected a nonempty path string, got {out!r}")
+        if "\0" in out:
+            _fail("out", f"path holds a NUL character: {out!r}")
+        try:
+            os.fsencode(out)  # as open() encodes it
+        except UnicodeEncodeError as exc:
+            _fail("out", f"cannot encode path {out!r}: {exc.reason}")
 
     cfg = ExperimentConfig(
         state=state,

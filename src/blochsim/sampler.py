@@ -74,15 +74,12 @@ break: only ratios of that class are finite, so one of them wins every
 row, and :func:`run_trials` counts every trial for that class and builds
 no generator. Below
 ``_RACE_BELOW_SUPPORT`` = 22 support columns it races them one column at
-a time (the tally, below). From there on it tiles the divisors (p, zero
-weights replaced by 1.0) once per call over at most one block of rows
-and divides each block in place as one flat loop: the same IEEE
-quotients as ``E / p``, element by element, without its per-block
-temporary and without the broadcast, which runs one inner loop of length
-N per row (0.08-0.09 against 0.06 ms per block at N = 16-32). The buffer
-and the tile take 512 KiB each, the race's two ratio columns at most
-half as much each, so the loop's working set fits the 2 MiB L2 of one core of
-a 2-core Xeon VM and a run of any length peaks near 1 MiB (tracemalloc).
+a time (the tally, below). From there on it takes the argmin of each
+block's ``_ratios``, :func:`classify`'s rule applied to a block, and
+tallies it with ``bincount``. The buffer and the block of ratios take
+512 KiB each, the race's two ratio columns at most half as much each, so
+the loop's working set fits the 2 MiB L2 of one core of a 2-core Xeon VM
+and a run of any length peaks near 1 MiB (tracemalloc).
 The oracle normalises its blocks in place, and :func:`sample_lambda`
 one row of its own, drawn in one call.
 Skipping the normalisation can change an outcome only where two ratios
@@ -92,24 +89,23 @@ The tally. Below ``_RACE_BELOW_SUPPORT`` support columns,
 :func:`run_trials` counts each block's winners without a per-row argmin
 and never divides, writes or reads a zero-weight column. It takes the
 support columns sup[0] < sup[1] < ... in turn, divides each by its
-scalar weight into a reused contiguous buffer (the tile's IEEE
-quotient), and sets mask_i where column sup[i] is below the running
+scalar weight into a reused contiguous buffer (the quotient of
+``_ratios``), and sets mask_i where column sup[i] is below the running
 minimum of the columns before it. A row's winner is its last i with
 mask_i set (the first index attaining the minimum), so
 c_i = #(mask_i and no later mask) and c_sup[0] = rows - sum. The race
 reads each support column at stride N, so its cost grows with the
 support, while that of ``bincount(argmin(axis=1))`` over the divided
-block does not. Per 2^16-element block, just filled, on a 2-core Xeon
-VM, race against tile divide + argmin + bincount: 0.07 vs 0.55 ms at
-N = 2, 0.10 vs 0.57 at N = 3, 0.19 vs 0.47 at N = 8, 0.07 vs 0.34 at
-N = 8 with 4 support columns; at N = 32, 0.08 vs 0.28 with 8, 0.15 vs
-0.27 with 16, 0.19 vs 0.23 with 21 and 0.37 vs 0.21 with all 32. The
-exponential fill of the block takes 0.34-0.62 ms at every N. Inside
-:func:`run_trials` at N = 32 the two meet between 21 and 22 support
-columns: the median time ratio argmin/race over 11 alternating runs of
-5 10^5 trials was 1.28 with 12, 1.18 with 14, 1.05-1.14 with 16-19,
-1.03-1.08 with 20, 1.03-1.05 with 21, 0.98-1.01 with 22, 0.98 with 23
-and 0.96-0.97 with 24.
+block does not. Per 2^16-element block on a 2-core Xeon VM (median of
+300 calls on one block), race against divide + argmin + bincount: 0.06
+vs 0.74 ms at N = 2, 0.08 vs 0.48 at N = 3, 0.11 vs 0.36 at N = 8, 0.05
+vs 0.30 at N = 8 with 4 support columns; at N = 32, 0.05 vs 0.22 with 8,
+0.12-0.15 vs 0.20 with 16, 0.15-0.20 vs 0.17-0.18 with 21 and 0.22 vs
+0.12 with all 32. The exponential fill of the block takes 0.30-0.47 ms
+at every N. Inside :func:`run_trials` at N = 32 the two meet at about
+22 support columns: the median time ratio argmin/race over 11
+alternating runs of 5 10^5 trials was 1.24 with 16, 1.16 with 20, 1.02
+with 21, 1.00 with 22, 1.01 with 23 and 0.96 with 24.
 
 Ties (boundary lambdas, measure zero) break to the smallest index.
 """
@@ -133,9 +129,9 @@ from .simplex import (
 from .tolerances import BOUNDARY_TOL, HULL_TOL, MEMBER_TOL, NEGLIGIBLE_WEIGHT, TIE_BAND
 
 #: Elements (not rows) per block of exponential draws: 512 KiB of float64.
-#: The trial loop holds the block and either a divisor tile of the same
-#: size or two ratio columns of at most half its size, so its working set (1 MiB)
-#: fits the 2 MiB L2 of one core at every N.
+#: The trial loop holds the block and either its ratios, of the same size,
+#: or the race's two ratio columns of at most half its size, so its working
+#: set (1 MiB) fits the 2 MiB L2 of one core at every N.
 _CHUNK_ELEMS = 1 << 16
 
 #: Fewest samples per oracle block. At N = 32, ``_CHUNK_ELEMS // N^2``
@@ -288,29 +284,19 @@ def _exponential_rows(n: int, count: int, rng: np.random.Generator, rows: int):
         count -= m
 
 
-def _ratios(lam: np.ndarray, p: np.ndarray, divisors: np.ndarray | None = None) -> np.ndarray:
+def _ratios(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
     """b_j / p_j along the last axis of ``lam``, +inf where p_j is zero (at most 1e-300).
 
     The outcome is the argmin; ``lam`` may be unnormalized. A zero weight
     divides by 1.0 and its column is then overwritten, so an exact 0.0
-    draw never forms 0/0. Given ``divisors``, :func:`_divisors` of p over
-    at least as many rows as ``lam`` has, ``lam`` is divided in place and
-    returned; operands of one shape run as one flat loop, not one per row.
+    draw never forms 0/0.
     """
     support = p > NEGLIGIBLE_WEIGHT
     full = np.count_nonzero(support) == p.size
-    if divisors is None:
-        ratios = lam / (p if full else np.where(support, p, 1.0))
-    else:
-        ratios = np.divide(lam, divisors[: lam.size].reshape(lam.shape), out=lam)
+    ratios = lam / (p if full else np.where(support, p, 1.0))
     if not full:
         ratios[..., ~support] = np.inf
     return ratios
-
-
-def _divisors(p: np.ndarray, rows: int) -> np.ndarray:
-    """p with its zero weights replaced by 1.0, repeated ``rows`` times, flat."""
-    return np.tile(np.where(p > NEGLIGIBLE_WEIGHT, p, 1.0), rows)
 
 
 def _column_race(blocks, p: np.ndarray, sup: np.ndarray, rows: int, counts: np.ndarray) -> None:
@@ -503,9 +489,8 @@ def run_trials(
     elif sup.size < _RACE_BELOW_SUPPORT:
         _column_race(_exponential_rows(k, n_trials, seed.generator(), rows), pw, sup, rows, counts)
     else:
-        divisors = _divisors(pw, rows)
         for draws in _exponential_rows(k, n_trials, seed.generator(), rows):
-            counts += np.bincount(np.argmin(_ratios(draws, pw, divisors), axis=1), minlength=k)
+            counts += np.bincount(np.argmin(_ratios(draws, pw), axis=1), minlength=k)
 
     if blocks is None:
         return TrialReport(n_trials, p, counts)

@@ -18,10 +18,10 @@ numpy scalar or a bool or complex array among them, is a ContractError.
 
 Nested [re, im] pairs are read an array at a time by ``pairs_to_array``.
 Each number must be a JSON int or float (``int`` or ``float`` exactly)
-within float range. A leaf of any other type (bool, str, None, list,
-dict) is a TypeError; a wrong shape (ragged rows, wrong pair lengths, a
-string or dict in place of a list) or an int beyond float range is a
-ValueError. Each number converts as ``float`` converts it.
+within float range. A wrong shape (ragged rows, wrong pair lengths, a
+string or dict in place of a list), a leaf of any other type (bool, str,
+None, list, dict) or an int beyond float range is a ContractError. Each
+number converts as ``float`` converts it.
 """
 
 from __future__ import annotations
@@ -116,14 +116,14 @@ def pairs_to_array(data, shape: tuple[int, ...]) -> np.ndarray:
     """
     a = np.array(data, dtype=object)
     if a.shape != (*shape, 2):
-        raise ValueError(f"expected [re, im] pairs in an array of shape {(*shape, 2)}, got shape {a.shape}")
+        raise ContractError(f"expected [re, im] pairs in an array of shape {(*shape, 2)}, got shape {a.shape}")
     for x in a.flat:
         if type(x) is not int and type(x) is not float:
-            raise TypeError(f"expected numbers, got {x!r}")
+            raise ContractError(f"expected numbers, got {x!r}")
     try:
         re_im = a.astype(np.float64)
     except OverflowError as exc:
-        raise ValueError(f"expected numbers within float range ({exc})") from None
+        raise ContractError(f"expected numbers within float range ({exc})") from None
     return re_im.view(np.complex128).reshape(shape)
 
 

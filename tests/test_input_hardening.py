@@ -15,6 +15,7 @@ never divides by a subnormal Born weight.
 
 import io
 import json
+import os
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -31,6 +32,7 @@ from blochsim import (
     BasisError,
     BlochSimError,
     BlochVector,
+    ConfigError,
     ContractError,
     DensityMatrix,
     DimensionError,
@@ -47,7 +49,8 @@ from blochsim import (
     sample_lambda,
     validate_partition,
 )
-from blochsim.cli import main
+from blochsim.cli import main, parse_config
+from blochsim.serialize import pairs_to_array
 from util import config_with_entry, standard_state_3
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -318,6 +321,7 @@ ENTRY_POINTS = {
     "sample_lambda": (lambda n: sample_lambda(n, np.random.default_rng(0)), (3,)),
     "MeasurementBasis.canonical": (MeasurementBasis.canonical, (3,)),
     "validate_partition": (validate_partition, ([[0], [1, 2]], 3)),
+    "pairs_to_array": (lambda data: pairs_to_array(data, (2,)), ([[1, 0], [0, 0]],)),
 }
 
 
@@ -329,6 +333,8 @@ ENTRY_POINTS = {
 @example(name="validate_partition", drawn=[None, 2**64, None, None])
 @example(name="sample_lambda", drawn=[2**64, None, None, None])
 @example(name="MeasurementBasis.canonical", drawn=[-1, None, None, None])
+@example(name="pairs_to_array", drawn=[[[1, 0], [0]], None, None, None])
+@example(name="pairs_to_array", drawn=[[[1, 0], [True, 0]], None, None, None])
 def test_every_entry_point_returns_or_raises_a_blochsim_error(name, drawn):
     call, valid = ENTRY_POINTS[name]
     try:
@@ -445,6 +451,90 @@ def test_integer_fields_exit_0_or_2(tmp_path_factory, field, value):
     assert code in (0, 2)
     if err.getvalue().startswith(f"config error: {field}: "):
         assert err.getvalue().count(field) == 1
+
+
+def _array_text(items) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
+def _object_text(items) -> str:
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in items) + "}"
+
+
+#: Strings a path or a field may hold that no keyboard types: NUL, lone
+#: surrogates (escaped as JSON writes them), controls and non-characters.
+ODD_STRINGS = st.text(st.characters(codec=None, exclude_categories=()), max_size=6) | st.sampled_from(
+    ["a\0b", "\ud800", "\udc80x", "\udfff\ud800", "\x7f", "\uffff"]
+)
+#: JSON values as text, so that they may hold what ``json.dumps`` cannot
+#: write: ints beyond Python's 4300-digit limit for str <-> int, and lists
+#: nested beyond the recursion limit.
+JSON_TEXT = st.recursive(
+    st.sampled_from(["null", "true", "false", "NaN", "-Infinity"])
+    | st.integers().map(str)
+    | st.floats().map(json.dumps)
+    | st.integers(4301, 4500).map(lambda n: "-" * (n % 2) + "9" * n)
+    | st.integers(990, 50_000).map(lambda n: "[" * n + "]" * n)
+    | ODD_STRINGS.map(json.dumps),
+    lambda inner: st.lists(inner, max_size=4).map(_array_text)
+    | st.lists(st.tuples(st.sampled_from(["a", "re", "ket", "density", "dim", "", "\0", "\ud800"]), inner),
+               max_size=3).map(_object_text),
+    max_leaves=12,
+)
+#: A valid config whose fields each config text below replaces one of. Its
+#: state is a vertex, so even a huge n_trials draws nothing.
+BASE_FIELDS = {"dim": "2", "state": '{"ket": [[1, 0], [0, 0]]}', "n_trials": "10"}
+
+
+@st.composite
+def _config_texts(draw):
+    """A config's text: raw text, a JSON document, or the base config with
+    one field (known or not) replaced or added, and the extra flags. A
+    document has no "state" key, so only the base config can write a report,
+    and its "out" is a file name in the working directory."""
+    how = draw(st.sampled_from(["raw", "document", "field"]))
+    if how == "raw":
+        text = draw(st.text() | st.integers(990, 50_000).map(lambda n: '{"a": ' * n))
+    elif how == "document":
+        text = draw(JSON_TEXT)
+    else:
+        field = draw(st.sampled_from(sorted(BASE_FIELDS) + [
+            "basis", "partition", "seed", "stream", "format", "dump_geometry", "trace", "oracle_check",
+            "out", "unknown",
+        ]))
+        value = draw(JSON_TEXT)
+        if field == "out" and value.startswith('"'):
+            value = json.dumps("report" + json.loads(value).replace("/", "_"))
+        text = _object_text({**BASE_FIELDS, field: value}.items())
+    flags = draw(st.just([]) | (ODD_STRINGS | st.integers(4301, 4500).map(lambda n: "1|" + "2" * n)).map(
+        lambda value: [f"--partition={value}"]
+    ))
+    return text, flags
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_config_texts())
+@example(case=('{"dim": 2' + "0" * 4300 + ', "state": {"ket": [[1, 0], [0, 0]]}}', []))
+@example(case=('{"dim": 2, "state": {"ket": [[1' + "0" * 4300 + ', 0], [0, 0]]}}', []))
+@example(case=('{"a": ' * 50_000, []))
+@example(case=('{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "out": "a\\u0000b"}', []))
+@example(case=('{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "out": "\\ud800"}', []))
+@example(case=('{"dim": 3, "state": {"ket": [[1, 0], [0, 0], [0, 0]]}}', ["--partition=1|" + "2" * 4301]))
+def test_any_config_text_parses_or_is_a_config_error(tmp_path_factory, case):
+    text, flags = case
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
+    work = tmp_path_factory.mktemp("config-text")
+    (work / "cfg.json").write_text(text, encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["--config", "cfg.json", *flags]) in (0, 1, 2, 3)
+    finally:
+        os.chdir(cwd)
 
 
 #: Finite magnitudes at both ends of the float range: near float max (their

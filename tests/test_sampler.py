@@ -356,7 +356,7 @@ class TestRunTrials:
     @pytest.mark.parametrize("n", [2, 32])
     def test_peak_memory_stays_within_two_blocks(self, n):
         # the reused draw buffer (512 KiB) and, at n = 2, the two ratio
-        # columns of the race (256 KiB each), at n = 32 the divisor tile (512 KiB)
+        # columns of the race (256 KiB each), at n = 32 the block's ratios (512 KiB)
         p = np.arange(1, n + 1) / (n * (n + 1) / 2)
         d = DensityMatrix(np.diag(p).astype(complex))
         b = MeasurementBasis.canonical(n)
