@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NormalizationError
+from .errors import ContractError, DimensionError, NormalizationError, _shown
 from .tolerances import ALGEBRA_TOL, EIGEN_TOL
 
 #: Bound on |Im Tr(D L_j)| for a matrix that construction accepted (module docstring).
@@ -84,7 +84,7 @@ def _as_integer(value, what: str, low: int, high: int | None = _INT64_MAX, error
     if n is not None and low <= n and (high is None or n <= high):
         return n
     span = f">= {low}" if high is None else f"in {low}..{high}"
-    raise (ContractError if n is None else error)(f"{what} must be an integer {span}, got {value!r}")
+    raise (ContractError if n is None else error)(f"{what} must be an integer {span}, got {_shown(value)}")
 
 
 #: Per stored dtype, the input kinds it takes and their name: integers and

@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .bloch import DensityMatrix, Ket, _as_integer, ket_to_density
 from .collapse import run_measurement
-from .errors import BlochSimError, ConfigError, ContractError, DimensionError
+from .errors import BlochSimError, ConfigError, ContractError, DimensionError, _shown
 from .sampler import RngSeed, _fuse, _set_partition, geometric_hit_count_oracle, run_trials
 from .serialize import (
     dumps,
@@ -109,7 +109,7 @@ def _fields(*names: str):
 
 def _as_bool(raw, field: str) -> bool:
     if not isinstance(raw, bool):
-        _fail(field, f"expected true or false, got {raw!r}")
+        _fail(field, f"expected true or false, got {_shown(raw)}")
     return raw
 
 
@@ -138,7 +138,7 @@ def _split_partition_flag(text: str) -> list[list[int]]:
     blocks = [[token.strip() for token in chunk.split(",")] for chunk in text.split("|")]
     for token in (token for blk in blocks for token in blk):
         if not (token.isascii() and token.isdigit()):
-            _fail("partition", f"expected positive integers, got {token!r}")
+            _fail("partition", f"expected positive integers, got {_shown(token)}")
     try:
         return [[int(token) for token in blk] for blk in blocks]
     except ValueError as exc:  # a label beyond Python's digit limit
@@ -204,18 +204,18 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
     out_format = raw.get("format", "json")
     if out_format not in ("json", "csv"):
-        _fail("format", f"expected 'json' or 'csv', got {out_format!r}")
+        _fail("format", f"expected 'json' or 'csv', got {_shown(out_format)}")
 
     out = raw.get("out")
     if out is not None:
         if not (isinstance(out, str) and out):
-            _fail("out", f"expected a nonempty path string, got {out!r}")
+            _fail("out", f"expected a nonempty path string, got {_shown(out)}")
         if "\0" in out:
-            _fail("out", f"path holds a NUL character: {out!r}")
+            _fail("out", f"path holds a NUL character: {_shown(out)}")
         try:
             os.fsencode(out)  # as open() encodes it
         except UnicodeEncodeError as exc:
-            _fail("out", f"cannot encode path {out!r}: {exc.reason}")
+            _fail("out", f"cannot encode path {_shown(out)}: {exc.reason}")
 
     cfg = ExperimentConfig(
         state=state,

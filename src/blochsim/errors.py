@@ -2,8 +2,27 @@
 
 Every error raised by this package derives from :class:`BlochSimError`, so
 callers (notably the CLI) can tell computational contract violations apart
-from I/O failures and plain bugs.
+from I/O failures and plain bugs. A message quotes a value it rejects
+through :func:`_shown`, so a huge or deeply nested input makes a short
+message, never a second error.
 """
+
+#: The most characters of a quoted value that a message shows.
+_SHOWN_CHARS = 80
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut to ``_SHOWN_CHARS`` characters.
+
+    Never raises: a value without a repr, such as an int beyond Python's
+    4300-digit limit or a list nested past the recursion limit, shows as
+    ``<unprintable int>`` or ``<unprintable list>``.
+    """
+    try:
+        text = repr(value)
+    except Exception:
+        return f"<unprintable {type(value).__name__}>"
+    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
 
 
 class BlochSimError(Exception):

@@ -42,12 +42,13 @@ sample is a convex combination of the vertices, so its distance off the
 frame's span is at most the largest vertex's. The coefficients of all N
 regions come from one product of [y; 1] with the N stacked inverses of
 the S_i, each checked by its back-substitution residual. It draws blocks
-of ``_CHUNK_ELEMS // N^2`` samples, at least ``_ORACLE_MIN_BLOCK`` = 256,
-from ``_exponential_rows`` at that size (at most 256 KiB of draws, at
-N = 2) and normalises each in place. It solves a block sample axis last
-in two reused slabs, the coefficients and the back-substitution: a slab
-takes 512 KiB up to N = 16 and 2 MiB at N = 32, and the traced peak of
-a run is 2.2, 1.4 and 5.1 MiB at N = 3, 8 and 32. The ratio rule enters
+of ``_ORACLE_ELEMS // N^2`` samples (2^16 / N^2), at least
+``_ORACLE_MIN_BLOCK`` = 256, from ``_exponential_rows`` at that size (two
+buffers of at most 256 KiB of draws each, at N = 2) and normalises each
+in place. It solves a block sample axis last in two reused slabs, the
+coefficients and the back-substitution: a slab takes 512 KiB up to
+N = 16 and 2 MiB at N = 32, and the traced peak of a run is 2.3, 1.4 and
+5.2 MiB at N = 3, 8 and 32. The ratio rule enters
 only afterwards, as the route the oracle is compared with, and its
 argmin and tie gap come from a sweep over the columns of ``_ratios``.
 With one BLAS thread on a 2-core Xeon VM the oracle solves 5300-7900,
@@ -64,10 +65,20 @@ exponential with rate p_j, and of independent exponentials the one
 with rate p_i is the smallest with probability p_i / sum_j p_j = p_i
 (the sum runs over the support): the race reproduces the Born weights
 exactly. All draws come from one stream of exponentials and one block
-generator, ``_exponential_rows``, which fills one reused buffer of the
-caller's block size: ``_CHUNK_ELEMS`` = 2^16 elements for
-:func:`run_trials`, one oracle block for the oracle. The values do not
-depend on the chunking. :func:`run_trials` finds the support
+generator, ``_exponential_rows``, in blocks of the caller's size:
+``_CHUNK_ELEMS`` = 2^15 elements for :func:`run_trials`, one oracle block
+for the oracle. A call of one block fills one buffer in the caller's
+thread. A longer call overlaps the fill with the classify: one helper
+thread fills block k + 1 of the same generator into the second of two
+reused buffers while the caller classifies block k, and two pairs of
+semaphores hand the buffers over. numpy releases the GIL in the fill
+and in the ufuncs of the classify, so the two run on two cores, and a
+block costs about the larger of its fill and its classify rather than
+their sum. The values, and so every count, depend neither on the
+chunking nor on the overlap: the stream is never split, the helper
+draws nothing past the call's rows and is joined before the generator
+ends, so the caller's generator is left exactly where a serial fill
+would leave it. :func:`run_trials` finds the support
 sup = {j : p_j > 0} once per call. When sup lies inside one class (one
 outcome without a partition, as for a vertex state) there is nothing to
 break: only ratios of that class are finite, so one of them wins every
@@ -76,10 +87,12 @@ no generator. Below
 ``_RACE_BELOW_SUPPORT`` = 22 support columns it races them one column at
 a time (the tally, below). From there on it takes the argmin of each
 block's ``_ratios``, :func:`classify`'s rule applied to a block, and
-tallies it with ``bincount``. The buffer and the block of ratios take
-512 KiB each, the race's two ratio columns at most half as much each, so
-the loop's working set fits the 2 MiB L2 of one core of a 2-core Xeon VM
-and a run of any length peaks near 1 MiB (tracemalloc).
+tallies it with ``bincount``. The two buffers and the block of ratios
+take 256 KiB each, the race's two ratio columns at most half as much
+each, so memory peaks there: a run of any length peaks near 0.6-0.8 MiB
+(tracemalloc), and the block being classified and its ratios fit the
+2 MiB L2 of one core of a 2-core Xeon VM while the helper fills the
+other buffer on the other core.
 The oracle normalises its blocks in place, and :func:`sample_lambda`
 one row of its own, drawn in one call.
 Skipping the normalisation can change an outcome only where two ratios
@@ -96,22 +109,25 @@ mask_i set (the first index attaining the minimum), so
 c_i = #(mask_i and no later mask) and c_sup[0] = rows - sum. The race
 reads each support column at stride N, so its cost grows with the
 support, while that of ``bincount(argmin(axis=1))`` over the divided
-block does not. Per 2^16-element block on a 2-core Xeon VM (median of
-300 calls on one block), race against divide + argmin + bincount: 0.06
-vs 0.74 ms at N = 2, 0.08 vs 0.48 at N = 3, 0.11 vs 0.36 at N = 8, 0.05
-vs 0.30 at N = 8 with 4 support columns; at N = 32, 0.05 vs 0.22 with 8,
-0.12-0.15 vs 0.20 with 16, 0.15-0.20 vs 0.17-0.18 with 21 and 0.22 vs
-0.12 with all 32. The exponential fill of the block takes 0.30-0.47 ms
-at every N. Inside :func:`run_trials` at N = 32 the two meet at about
-22 support columns: the median time ratio argmin/race over 11
-alternating runs of 5 10^5 trials was 1.24 with 16, 1.16 with 20, 1.02
-with 21, 1.00 with 22, 1.01 with 23 and 0.96 with 24.
+block does not. Measured before the overlap, per 2^16-element block on
+a 2-core Xeon VM (median of 300 calls on one block), race against
+divide + argmin + bincount: 0.06 vs 0.74 ms at N = 2, 0.08 vs 0.48 at
+N = 3, 0.11 vs 0.36 at N = 8, 0.05 vs 0.30 at N = 8 with 4 support
+columns; at N = 32, 0.05 vs 0.22 with 8, 0.12-0.15 vs 0.20 with 16,
+0.15-0.20 vs 0.17-0.18 with 21 and 0.22 vs 0.12 with all 32. The
+exponential fill of the block takes 0.30-0.47 ms at every N. Inside
+:func:`run_trials` at N = 32 the two meet at about 22 support columns:
+the median time ratio argmin/race over 11 alternating runs of 5 10^5
+trials was 1.24 with 16, 1.16 with 20, 1.02 with 21, 1.00 with 22, 1.01
+with 23 and 0.96 with 24.
 
 Ties (boundary lambdas, measure zero) break to the smallest index.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
 
@@ -128,13 +144,20 @@ from .simplex import (
 )
 from .tolerances import BOUNDARY_TOL, HULL_TOL, MEMBER_TOL, NEGLIGIBLE_WEIGHT, TIE_BAND
 
-#: Elements (not rows) per block of exponential draws: 512 KiB of float64.
-#: The trial loop holds the block and either its ratios, of the same size,
-#: or the race's two ratio columns of at most half its size, so its working
-#: set (1 MiB) fits the 2 MiB L2 of one core at every N.
-_CHUNK_ELEMS = 1 << 16
+#: Elements (not rows) per buffer of :func:`run_trials`' exponential
+#: draws: 256 KiB of float64. The trial loop holds two buffers, the block
+#: it classifies and the one the helper thread fills, and either the
+#: block's ratios, of the same size, or the race's two ratio columns of at
+#: most half its size, so it peaks near 768 KiB at every N, and the block
+#: and its ratios (512 KiB) fit the 2 MiB L2 of one core.
+_CHUNK_ELEMS = 1 << 15
 
-#: Fewest samples per oracle block. At N = 32, ``_CHUNK_ELEMS // N^2``
+#: Elements per oracle block before its floor: the oracle keeps the 2^16
+#: it was tuned at, as its solves, not its fill, set its pace; blocks of
+#: 2^15 ran 20-35% slower at N = 8.
+_ORACLE_ELEMS = 1 << 16
+
+#: Fewest samples per oracle block. At N = 32, ``_ORACLE_ELEMS // N^2``
 #: would give 64-sample blocks, and each block makes N batched
 #: back-substitution products, which then ran 21-29% slower; 256 keeps
 #: the block of the 2^18-element chunking at N = 32.
@@ -265,23 +288,67 @@ def _block_rows(n: int) -> int:
 
 
 def _oracle_block(n: int) -> int:
-    """Samples per block of the oracle: ``_CHUNK_ELEMS // n^2``, at least
+    """Samples per block of the oracle: ``_ORACLE_ELEMS // n^2``, at least
     ``_ORACLE_MIN_BLOCK``."""
-    return max(_CHUNK_ELEMS // (n * n), _ORACLE_MIN_BLOCK)
+    return max(_ORACLE_ELEMS // (n * n), _ORACLE_MIN_BLOCK)
 
 
 def _exponential_rows(n: int, count: int, rng: np.random.Generator, rows: int):
     """Yield ``count`` rows of n unit-rate exponentials in blocks of at most ``rows`` rows.
 
-    The one generator of lambda blocks. Every block is a view of one
-    buffer that the next block overwrites. The values are those of
-    ``rng.exponential(size=(count, n))``, whatever ``rows`` is.
+    The one generator of lambda blocks. The values are those of
+    ``rng.standard_exponential(size=(count, n))``, whatever ``rows`` is.
+    A call that fits in one block fills one buffer in the caller's thread.
+    A longer one starts one helper thread, which fills block k + 1 into
+    the second of two buffers while the caller reads block k; each block
+    is a view that the block two later overwrites. The helper draws
+    nothing past ``count``, its error re-raises here, and it is joined
+    before the generator finishes, raises or is closed, so a full pass
+    leaves ``rng`` where a serial fill would. Consume it inside
+    ``contextlib.closing``, so an error in the consumer also joins it.
     """
-    buf = np.empty((min(count, rows), n))
-    while count > 0:
-        m = min(count, rows)
-        yield rng.standard_exponential(out=buf[:m])
-        count -= m
+    if count <= rows:
+        yield rng.standard_exponential(out=np.empty((count, n)))
+        return
+    bufs = np.empty((2, rows, n))
+    free = [threading.Semaphore(1), threading.Semaphore(1)]
+    full = [threading.Semaphore(0), threading.Semaphore(0)]
+    failure = []
+    stopped = False
+
+    def fill_ahead():
+        k, left = 0, count
+        try:
+            while left > 0:
+                free[k].acquire()
+                if stopped:
+                    return
+                m = min(left, rows)
+                rng.standard_exponential(out=bufs[k, :m])
+                full[k].release()
+                k, left = 1 - k, left - m
+        except BaseException as exc:  # re-raised by the caller's thread
+            failure.append(exc)
+            full[k].release()
+
+    # daemon: a generator dropped unclosed must not hold up the interpreter's exit
+    helper = threading.Thread(target=fill_ahead, daemon=True)
+    helper.start()
+    try:
+        k, left = 0, count
+        while left > 0:
+            full[k].acquire()
+            if failure:
+                raise failure[0]
+            m = min(left, rows)
+            yield bufs[k, :m]
+            free[k].release()
+            k, left = 1 - k, left - m
+    finally:
+        stopped = True
+        free[0].release()
+        free[1].release()
+        helper.join()
 
 
 def _ratios(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -486,11 +553,13 @@ def run_trials(
     if any(support <= set(blk) for blk in classes):
         # the support lies in one class: every trial lands there, nothing to draw
         counts[sup[0]] = n_trials
-    elif sup.size < _RACE_BELOW_SUPPORT:
-        _column_race(_exponential_rows(k, n_trials, seed.generator(), rows), pw, sup, rows, counts)
     else:
-        for draws in _exponential_rows(k, n_trials, seed.generator(), rows):
-            counts += np.bincount(np.argmin(_ratios(draws, pw), axis=1), minlength=k)
+        with closing(_exponential_rows(k, n_trials, seed.generator(), rows)) as stream:
+            if sup.size < _RACE_BELOW_SUPPORT:
+                _column_race(stream, pw, sup, rows, counts)
+            else:
+                for draws in stream:
+                    counts += np.bincount(np.argmin(_ratios(draws, pw), axis=1), minlength=k)
 
     if blocks is None:
         return TrialReport(n_trials, p, counts)
@@ -577,41 +646,42 @@ def geometric_hit_count_oracle(
     # the right-hand sides [y; 1]
     slabs = np.empty((2, n * n * block))
     rhs = np.empty(n * block)
-    for lam in _exponential_rows(n, n_samples, rng, block):
-        lam /= lam.sum(axis=1, keepdims=True)
-        m = lam.shape[0]
-        # sum(lambda) = 1, so frame . (lambda . V - centroid) = vert_y . lambda
-        y_aug = rhs[: n * m].reshape(n, m)
-        y_aug[-1] = 1.0
-        np.matmul(vert_y, lam.T, out=y_aug[:-1])
+    with closing(_exponential_rows(n, n_samples, rng, block)) as stream:
+        for lam in stream:
+            lam /= lam.sum(axis=1, keepdims=True)
+            m = lam.shape[0]
+            # sum(lambda) = 1, so frame . (lambda . V - centroid) = vert_y . lambda
+            y_aug = rhs[: n * m].reshape(n, m)
+            y_aug[-1] = 1.0
+            np.matmul(vert_y, lam.T, out=y_aug[:-1])
 
-        # [region, coefficient, sample]
-        coeffs = np.matmul(inverses, y_aug, out=slabs[0, : n * n * m].reshape(n * n, m))
-        coeffs = coeffs.reshape(n, n, m)
-        resid = np.matmul(systems, coeffs, out=slabs[1, : n * n * m].reshape(n, n, m))
-        resid -= y_aug
-        np.abs(resid, out=resid)
-        min_coeff = coeffs.min(axis=1)
-        accept = (min_coeff >= -MEMBER_TOL) & (resid.max(axis=1) <= HULL_TOL)
+            # [region, coefficient, sample]
+            coeffs = np.matmul(inverses, y_aug, out=slabs[0, : n * n * m].reshape(n * n, m))
+            coeffs = coeffs.reshape(n, n, m)
+            resid = np.matmul(systems, coeffs, out=slabs[1, : n * n * m].reshape(n, n, m))
+            resid -= y_aug
+            np.abs(resid, out=resid)
+            min_coeff = coeffs.min(axis=1)
+            accept = (min_coeff >= -MEMBER_TOL) & (resid.max(axis=1) <= HULL_TOL)
 
-        n_accept = np.count_nonzero(accept, axis=0)
-        if np.any(n_accept == 0):
-            raise OracleInconsistencyError(
-                "a sample point was claimed by no region; geometry is inconsistent"
-            )
-        strict = accept & (min_coeff > TIE_BAND)
-        if np.any(np.count_nonzero(strict, axis=0) > 1):
-            raise OracleInconsistencyError(
-                "a sample point was claimed strictly by several regions; "
-                "geometry is inconsistent"
-            )
-        member = np.argmax(accept, axis=0)
+            n_accept = np.count_nonzero(accept, axis=0)
+            if np.any(n_accept == 0):
+                raise OracleInconsistencyError(
+                    "a sample point was claimed by no region; geometry is inconsistent"
+                )
+            strict = accept & (min_coeff > TIE_BAND)
+            if np.any(np.count_nonzero(strict, axis=0) > 1):
+                raise OracleInconsistencyError(
+                    "a sample point was claimed strictly by several regions; "
+                    "geometry is inconsistent"
+                )
+            member = np.argmax(accept, axis=0)
 
-        argmin, gap = _argmin_and_gap(_ratios(lam, pw))
-        tie_rows = (n_accept > 1) | (gap <= TIE_BAND)
+            argmin, gap = _argmin_and_gap(_ratios(lam, pw))
+            tie_rows = (n_accept > 1) | (gap <= TIE_BAND)
 
-        counts += np.bincount(member, minlength=n)
-        ties += int(np.count_nonzero(tie_rows))
-        disagreements += int(np.count_nonzero(~tie_rows & (member != argmin)))
+            counts += np.bincount(member, minlength=n)
+            ties += int(np.count_nonzero(tie_rows))
+            disagreements += int(np.count_nonzero(~tie_rows & (member != argmin)))
 
     return OracleReport(n_samples, counts, ties, disagreements)

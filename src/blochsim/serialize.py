@@ -31,7 +31,7 @@ import json
 import numpy as np
 
 from .collapse import ProcessTrace
-from .errors import ContractError
+from .errors import ContractError, _shown
 from .sampler import OracleReport, TrialReport
 from .simplex import MeasurementSimplex
 
@@ -119,7 +119,7 @@ def pairs_to_array(data, shape: tuple[int, ...]) -> np.ndarray:
         raise ContractError(f"expected [re, im] pairs in an array of shape {(*shape, 2)}, got shape {a.shape}")
     for x in a.flat:
         if type(x) is not int and type(x) is not float:
-            raise ContractError(f"expected numbers, got {x!r}")
+            raise ContractError(f"expected numbers, got {_shown(x)}")
     try:
         re_im = a.astype(np.float64)
     except OverflowError as exc:

@@ -50,6 +50,7 @@ from blochsim import (
     validate_partition,
 )
 from blochsim.cli import main, parse_config
+from blochsim.errors import _shown
 from blochsim.serialize import pairs_to_array
 from util import config_with_entry, standard_state_3
 
@@ -325,8 +326,16 @@ ENTRY_POINTS = {
 }
 
 
+#: Integers whose repr exceeds Python's 4300-digit limit: a message quoting
+#: them must not raise the limit's ValueError instead.
+BEYOND_REPR = st.sampled_from([10**5000, -(10**5000)])
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(name=st.sampled_from(sorted(ENTRY_POINTS)), drawn=st.lists(st.none() | ANY, min_size=4, max_size=4))
+@given(
+    name=st.sampled_from(sorted(ENTRY_POINTS)),
+    drawn=st.lists(st.none() | ANY | BEYOND_REPR, min_size=4, max_size=4),
+)
 @example(name="Ket", drawn=[[[1, 0], [0]], None, None, None])
 @example(name="Barycentric", drawn=[[[1.0], [0.0, 1.0]], None, None, None])
 @example(name="run_trials", drawn=[2**70, None, None, None])
@@ -335,6 +344,10 @@ ENTRY_POINTS = {
 @example(name="MeasurementBasis.canonical", drawn=[-1, None, None, None])
 @example(name="pairs_to_array", drawn=[[[1, 0], [0]], None, None, None])
 @example(name="pairs_to_array", drawn=[[[1, 0], [True, 0]], None, None, None])
+@example(name="RngSeed", drawn=[10**5000, None, None, None])
+@example(name="run_trials", drawn=[10**5000, None, None, None])
+@example(name="MeasurementBasis.canonical", drawn=[-(10**5000), None, None, None])
+@example(name="pairs_to_array", drawn=[[[10**5000, 0], [0, 0]], None, None, None])
 def test_every_entry_point_returns_or_raises_a_blochsim_error(name, drawn):
     call, valid = ENTRY_POINTS[name]
     try:
@@ -347,6 +360,27 @@ def _main_on(tmp_path, text: str, *flags: str) -> int:
     path = tmp_path / "cfg.json"
     path.write_text(text)
     return main(["--config", str(path), "--trials", "10", *flags])
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (-1, "-1"),
+        ("x" * 78, repr("x" * 78)),
+        ("x" * 79, repr("x" * 79)[:77] + "..."),
+        (10**5000, "<unprintable int>"),
+    ],
+    ids=["short", "80-chars", "81-chars", "beyond-digit-limit"],
+)
+def test_a_quoted_value_is_its_repr_cut_to_80_characters(value, shown):
+    assert _shown(value) == shown
+
+
+def test_a_list_nested_past_the_recursion_limit_is_quoted_without_error():
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    assert _shown(deep) == "<unprintable list>"
 
 
 class TestConfigExitCodes:
@@ -412,6 +446,24 @@ class TestConfigExitCodes:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {field}: must be an integer ") and err.count(field) == 1
             assert err.endswith(f", got {value!r}\n")
+
+    @pytest.mark.parametrize(
+        "field, raw",
+        [
+            ("seed", "[" * 500 + "]" * 500),
+            ("seed", "9" * 4300),
+            ("stream", '"' + "x" * 5000 + '"'),
+            ("format", '"' + "x" * 5000 + '"'),
+            ("out", "[" * 500 + "]" * 500),
+            ("trace", "[" * 500 + "]" * 500),
+        ],
+        ids=["deep-list-seed", "4300-digit-seed", "long-string-stream", "long-format", "deep-list-out", "deep-list-flag"],
+    )
+    def test_a_huge_value_is_quoted_short(self, tmp_path, capsys, field, raw):
+        text = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "' + field + '": ' + raw + "}"
+        assert _main_on(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and len(err) < 200
 
     @pytest.mark.parametrize("entry", ["1", True], ids=["string", "bool"])
     @pytest.mark.parametrize("field", ["state.ket", "state.density", "basis"])

@@ -8,8 +8,11 @@ root included, may import it, so the 16.7 MB tensor at N=32 cannot
 return to a library path.
 
 Every lambda is drawn in one of two places: the block generator
-``_exponential_rows`` or the one-call draw of ``sample_lambda``, so no
-consumer grows a draw loop of its own.
+``_exponential_rows``, with the loop ``fill_ahead`` that it runs on its
+helper thread, or the one-call draw of ``sample_lambda``, so no consumer
+grows a draw loop of its own. Importing the CLI loads no process pool,
+``concurrent.futures`` or ``queue``: the helper thread needs ``threading``
+alone, so the import time of every run cannot grow unnoticed.
 
 Every [re, im] pair is read by one codec, ``serialize.pairs_to_array``:
 ``cli.py`` converts no config value with ``complex`` or ``float``, and no
@@ -40,6 +43,9 @@ second collapse path or diagonal shortcut grows back.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import blochsim
@@ -77,8 +83,13 @@ def test_library_modules_do_not_import_generators():
 
 #: Generator methods that draw lambda or the exponentials it is made of.
 LAMBDA_DRAWS = {"standard_exponential", "exponential", "dirichlet"}
-#: The one block generator of lambda draws, and the one-call draw of a single shot.
-DRAWERS = {("sampler.py", "_exponential_rows"), ("sampler.py", "sample_lambda")}
+#: The one block generator of lambda draws, its helper thread's fill loop,
+#: and the one-call draw of a single shot.
+DRAWERS = {
+    ("sampler.py", "_exponential_rows"),
+    ("sampler.py", "fill_ahead"),
+    ("sampler.py", "sample_lambda"),
+}
 
 
 def _nodes(tree: ast.AST):
@@ -110,6 +121,18 @@ def test_lambda_is_drawn_in_one_loop():
             if _name(call.func) in LAMBDA_DRAWS:
                 sites.add((path.name, fn))
     assert sites == DRAWERS
+
+
+def test_cli_import_loads_no_pool_or_queue():
+    # a child interpreter, as this one holds pytest's imports
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), inherited]))}
+    script = (
+        "import sys, blochsim.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('concurrent', 'multiprocessing', 'queue')))"
+    )
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert child.stdout == "[]\n"
 
 
 def _builds_complex_from_pairs(call: ast.Call) -> bool:

@@ -12,6 +12,7 @@ affine hull must be an error, raised once per simplex before any sample
 is drawn.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,34 @@ def test_matches_the_pinv_oracle_at_n32(count):
     assert_same_report(32, COUNTS[count](32), 5, simplex, p)
 
 
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_the_stream_goes_on_where_a_serial_fill_leaves_it(n, count):
+    rng = np.random.default_rng(n)
+    simplex = basis_to_simplex(random_basis(rng, n))
+    p = interior_weights(rng, n, 0.01)
+    count = COUNTS[count](n)
+    drawn, serial = RngSeed(n).generator(), RngSeed(n).generator()
+    baseline = threading.active_count()
+    geometric_hit_count_oracle(p, count, drawn, simplex)
+    assert threading.active_count() == baseline
+    serial.standard_exponential(size=(count, n))
+    np.testing.assert_array_equal(drawn.standard_exponential(5), serial.standard_exponential(5))
+
+
+def test_an_inconsistency_mid_stream_joins_the_helper(monkeypatch):
+    rng = np.random.default_rng(3)
+    simplex = basis_to_simplex(random_basis(rng, 3))
+    p = interior_weights(rng, 3, 0.1)
+    monkeypatch.setattr(sampler, "MEMBER_TOL", -np.inf)  # no region accepts a sample
+    baseline = threading.active_count()
+    with pytest.raises(OracleInconsistencyError, match="no region") as raised:
+        geometric_hit_count_oracle(p, 4 * _oracle_block(3), RngSeed(3).generator(), simplex)
+    # the held traceback keeps the oracle's frame alive, but not its helper thread
+    assert raised.tb is not None
+    assert threading.active_count() == baseline
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
 def test_column_sweep_matches_argmin_and_partition(n, seed):
@@ -239,9 +268,11 @@ def test_classify_agrees_with_the_oracle_inside(n, p_min_exp, seed):
     assert report.agreements == report.n_samples
 
 
-#: tracemalloc bound per N, 0.2-0.3 MiB above the measured peaks of 2.17,
-#: 1.38 and 5.10 MiB. At N = 32 the 256-sample floor of the block holds
-#: it: two slabs of 32^2 x 256 floats take 4 MiB.
+#: tracemalloc bound per N, set 0.2-0.3 MiB above the peaks of 2.17, 1.38
+#: and 5.10 MiB measured with one draw buffer; the second buffer of the
+#: overlapped fill takes one block of draws more (2.34, 1.45 and 5.17 MiB).
+#: At N = 32 the 256-sample floor of the block holds it: two slabs of
+#: 32^2 x 256 floats take 4 MiB.
 PEAK_MIB = {3: 2.4, 8: 1.6, 32: 5.4}
 
 

@@ -1,6 +1,9 @@
 import itertools
+import sys
+import threading
 import tracemalloc
 import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -355,8 +358,9 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("n", [2, 32])
     def test_peak_memory_stays_within_two_blocks(self, n):
-        # the reused draw buffer (512 KiB) and, at n = 2, the two ratio
-        # columns of the race (256 KiB each), at n = 32 the block's ratios (512 KiB)
+        # the two draw buffers, the block being classified and the one
+        # being filled (256 KiB each), and, at n = 2, the two ratio columns
+        # of the race (128 KiB each), at n = 32 the block's ratios (256 KiB)
         p = np.arange(1, n + 1) / (n * (n + 1) / 2)
         d = DensityMatrix(np.diag(p).astype(complex))
         b = MeasurementBasis.canonical(n)
@@ -488,6 +492,107 @@ def _planted_rows(rng, p: np.ndarray, rows: int):
     off = p == 0.0
     lam[:, off] = np.where(rng.random((rows, int(off.sum()))) < 0.5, 0.0, lam[:, off])
     return lam, winners
+
+
+class FailingRng:
+    """Draws of one generator until its ``fail_at``-th fill, which raises MemoryError."""
+
+    def __init__(self, fail_at: int):
+        self.rng = np.random.default_rng(0)
+        self.fills = 0
+        self.fail_at = fail_at
+
+    def standard_exponential(self, out):
+        self.fills += 1
+        if self.fills == self.fail_at:
+            raise MemoryError("planted fill failure")
+        return self.rng.standard_exponential(out=out)
+
+
+class TestExponentialRows:
+    """The block pipeline: one stream, one helper thread, joined on every exit."""
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2rows+1"])
+    def test_blocks_concatenate_to_one_draw(self, n, extra):
+        rows = sampler._block_rows(n)
+        count = 2 * rows + 1 if extra == "2rows+1" else rows + extra
+        rng, serial = RngSeed(n).generator(), RngSeed(n).generator()
+        blocks = [block.copy() for block in sampler._exponential_rows(n, count, rng, rows)]
+        assert all(0 < len(block) <= rows for block in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks), serial.standard_exponential(size=(count, n)))
+        # nothing drawn past count: the stream goes on where a serial fill leaves it
+        assert rng.standard_exponential() == serial.standard_exponential()
+
+    def test_one_block_starts_no_thread_and_more_start_one(self):
+        baseline = threading.active_count()
+        for _ in sampler._exponential_rows(4, 100, RngSeed(1).generator(), 100):
+            assert threading.active_count() == baseline
+        for _ in sampler._exponential_rows(4, 201, RngSeed(1).generator(), 100):
+            # the helper waits for a free buffer until the last block is filled
+            assert threading.active_count() in (baseline, baseline + 1)
+        assert threading.active_count() == baseline
+        blocks = sampler._exponential_rows(4, 300, RngSeed(1).generator(), 100)
+        next(blocks)  # the third block waits for this one's buffer
+        assert threading.active_count() == baseline + 1
+        blocks.close()
+        assert threading.active_count() == baseline
+
+    def test_the_handover_holds_under_contention(self):
+        # four pipelines at once, eight threads on the host's cores, and
+        # the interpreter switching between them as often as it can
+        results = {}
+
+        def drain(seed):
+            stream = sampler._exponential_rows(3, 1000, RngSeed(seed).generator(), 7)
+            results[seed] = np.concatenate([block.copy() for block in stream])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=drain, args=(seed,)) for seed in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in range(4):
+            want = RngSeed(seed).generator().standard_exponential(size=(1000, 3))
+            np.testing.assert_array_equal(results[seed], want)
+
+    @pytest.mark.parametrize("taken", [1, 2, 3])  # the helper then waits on either buffer
+    def test_a_consumer_that_stops_early_joins_the_helper(self, taken):
+        baseline = threading.active_count()
+        with closing(sampler._exponential_rows(4, 10_000, RngSeed(1).generator(), 100)) as stream:
+            for _ in itertools.islice(stream, taken):
+                pass
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3])
+    def test_a_fill_error_reraises_in_the_caller(self, fail_at):
+        baseline = threading.active_count()
+        rng = FailingRng(fail_at)
+        with pytest.raises(MemoryError, match="planted"):
+            for _ in sampler._exponential_rows(4, 1000, rng, 100):
+                pass
+        assert threading.active_count() == baseline
+        assert rng.fills == fail_at  # the helper stops at its error
+
+    @pytest.mark.parametrize("n", [3, 32])  # the column race and the argmin tally
+    def test_run_trials_joins_the_helper_on_every_exit(self, n, monkeypatch):
+        p = np.arange(1, n + 1) / (n * (n + 1) / 2)
+        d = DensityMatrix(np.diag(p).astype(complex))
+        b = MeasurementBasis.canonical(n)
+        count = 3 * sampler._block_rows(n) + 1
+        baseline = threading.active_count()
+        run_trials(d, b, count, RngSeed(n))
+        assert threading.active_count() == baseline
+        monkeypatch.setattr(RngSeed, "generator", lambda self: FailingRng(2))
+        with pytest.raises(MemoryError, match="planted"):
+            run_trials(d, b, count, RngSeed(n))
+        assert threading.active_count() == baseline
 
 
 class TestPlantedRows:
