@@ -67,11 +67,12 @@ with rate p_i is the smallest with probability p_i / sum_j p_j = p_i
 exactly. All draws come from one stream of exponentials and one block
 generator, ``_exponential_rows``, in blocks of the caller's size:
 ``_CHUNK_ELEMS`` = 2^15 elements for :func:`run_trials`, one oracle block
-for the oracle. A call of one block fills one buffer in the caller's
-thread. A longer call overlaps the fill with the classify: one helper
-thread fills block k + 1 of the same generator into the second of two
-reused buffers while the caller classifies block k, and two pairs of
-semaphores hand the buffers over. numpy releases the GIL in the fill
+for the oracle. One block schedule, laid out once, puts block k in buffer
+k mod 2 of two reused buffers. The caller's thread fills block 0, all a
+call of one block needs. A longer call overlaps the fill with the
+classify: one helper thread fills block k + 1 of the same generator while
+the caller classifies block k, and the two meet at one barrier before
+each later block is handed over. numpy releases the GIL in the fill
 and in the ufuncs of the classify, so the two run on two cores, and a
 block costs about the larger of its fill and its classify rather than
 their sum. The values, and so every count, depend neither on the
@@ -298,56 +299,51 @@ def _exponential_rows(n: int, count: int, rng: np.random.Generator, rows: int):
 
     The one generator of lambda blocks. The values are those of
     ``rng.standard_exponential(size=(count, n))``, whatever ``rows`` is.
-    A call that fits in one block fills one buffer in the caller's thread.
-    A longer one starts one helper thread, which fills block k + 1 into
-    the second of two buffers while the caller reads block k; each block
-    is a view that the block two later overwrites. The helper draws
-    nothing past ``count``, its error re-raises here, and it is joined
-    before the generator finishes, raises or is closed, so a full pass
-    leaves ``rng`` where a serial fill would. Consume it inside
-    ``contextlib.closing``, so an error in the consumer also joins it.
+    Block k is a view of buffer k % 2, which block k + 2 overwrites. The
+    caller fills block 0; one block ends there, with no thread. Otherwise
+    a helper thread fills block k + 1 while the caller reads block k, and
+    both wait at one barrier before each later block is yielded. The
+    helper draws nothing past ``count``. Its error breaks the barrier and
+    re-raises here before the block it failed on is yielded, or one block
+    sooner if the abort overtakes the caller's wake-up. Every exit
+    breaks the barrier and joins the helper, so a full pass leaves ``rng``
+    where a serial fill would. Consume it inside ``contextlib.closing``,
+    so an error in the consumer also joins it.
     """
-    if count <= rows:
-        yield rng.standard_exponential(out=np.empty((count, n)))
+    starts = range(0, count, rows)
+    bufs = np.empty((min(len(starts), 2), min(rows, count), n))
+    blocks = [bufs[k % 2, : min(rows, count - start)] for k, start in enumerate(starts)]
+    rng.standard_exponential(out=blocks[0])
+    if len(blocks) == 1:
+        yield blocks[0]
         return
-    bufs = np.empty((2, rows, n))
-    free = [threading.Semaphore(1), threading.Semaphore(1)]
-    full = [threading.Semaphore(0), threading.Semaphore(0)]
+    handover = threading.Barrier(2)
     failure = []
-    stopped = False
 
     def fill_ahead():
-        k, left = 0, count
         try:
-            while left > 0:
-                free[k].acquire()
-                if stopped:
-                    return
-                m = min(left, rows)
-                rng.standard_exponential(out=bufs[k, :m])
-                full[k].release()
-                k, left = 1 - k, left - m
+            for block in blocks[1:]:
+                rng.standard_exponential(out=block)
+                handover.wait()
+        except threading.BrokenBarrierError:
+            pass  # broken by the caller's exit; kept, it would hold the buffers in a reference cycle
         except BaseException as exc:  # re-raised by the caller's thread
             failure.append(exc)
-            full[k].release()
+            handover.abort()
 
     # daemon: a generator dropped unclosed must not hold up the interpreter's exit
     helper = threading.Thread(target=fill_ahead, daemon=True)
     helper.start()
     try:
-        k, left = 0, count
-        while left > 0:
-            full[k].acquire()
-            if failure:
-                raise failure[0]
-            m = min(left, rows)
-            yield bufs[k, :m]
-            free[k].release()
-            k, left = 1 - k, left - m
+        yield blocks[0]
+        for block in blocks[1:]:
+            try:
+                handover.wait()
+            except threading.BrokenBarrierError:
+                raise failure.pop() from None  # popped: a kept error would cycle with the buffers
+            yield block
     finally:
-        stopped = True
-        free[0].release()
-        free[1].release()
+        handover.abort()
         helper.join()
 
 

@@ -9,10 +9,14 @@ return to a library path.
 
 Every lambda is drawn in one of two places: the block generator
 ``_exponential_rows``, with the loop ``fill_ahead`` that it runs on its
-helper thread, or the one-call draw of ``sample_lambda``, so no consumer
-grows a draw loop of its own. Importing the CLI loads no process pool,
-``concurrent.futures`` or ``queue``: the helper thread needs ``threading``
-alone, so the import time of every run cannot grow unnoticed.
+helper thread over the same block schedule, or the one-call draw of
+``sample_lambda``, so no consumer grows a draw loop of its own. Every
+call of the block generator is consumed inside ``contextlib.closing``,
+so a consumer that raises or stops early still breaks the one barrier
+and joins the helper. Importing the CLI loads no process pool,
+``concurrent.futures`` or ``queue``: the helper thread needs
+``threading`` alone, so the import time of every run cannot grow
+unnoticed.
 
 Every [re, im] pair is read by one codec, ``serialize.pairs_to_array``:
 ``cli.py`` converts no config value with ``complex`` or ``float``, and no
@@ -247,3 +251,13 @@ def test_one_draw_step_and_one_basis_diagonal_builder():
     assert _sites(lambda node: _is_einsum(node, DIAGONAL_SUBSCRIPTS)) == {diagonal}
     reads_identity = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_is_identity")
     assert reads_identity == {("simplex.py", "born_probabilities"), diagonal}
+
+
+def test_every_block_stream_is_consumed_inside_closing():
+    is_stream = _calls_to("_exponential_rows")
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        closed = {id(arg) for node in ast.walk(tree) if _calls_to("closing")(node) for arg in node.args}
+        bare = [ast.unparse(node) for node in ast.walk(tree) if is_stream(node) and id(node) not in closed]
+        assert bare == [], path.name
+    assert _sites(is_stream) == {("sampler.py", "run_trials"), ("sampler.py", "geometric_hit_count_oracle")}

@@ -222,6 +222,34 @@ def test_boundary_points_match_the_pinv_oracle(n, monkeypatch):
     assert geometric_hit_count_oracle(p, len(planted), None, simplex).ties == len(planted)
 
 
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("switched_off", [None, "MEMBER_TOL", "TIE_BAND"])
+def test_the_tolerance_table_decides_which_rows_tie(n, switched_off, monkeypatch):
+    # rows whose two smallest ratios, of outcomes 0 and 1, are 1/2 and 1/2 + gap:
+    # the ratio rule ties them when gap <= TIE_BAND, and region 1 claims them
+    # too when its coefficient on vertex 0, -gap * p_0, is >= -MEMBER_TOL. At
+    # p_0 = 1/2 both rules tie the gap of 5e-11 and neither that of 5e-10, so
+    # each tolerance is checked once more with the other rule switched off.
+    rng = np.random.default_rng(n)
+    p = np.array([0.5, 0.25, *np.full(n - 2, 0.25 / (n - 2))])
+    simplex = basis_to_simplex(random_basis(rng, n))
+    if switched_off:
+        monkeypatch.setattr(sampler, switched_off, 0.0)
+    verdicts = []
+    for gap in (5e-11, 5e-10):
+        row = p * (1.0 - 0.5 * p[0] - (0.5 + gap) * p[1]) / (1.0 - p[0] - p[1])
+        row[:2] = 0.5 * p[0], (0.5 + gap) * p[1]
+
+        def planted_row(dim, count, rng, rows, row=row):
+            yield row[None].copy()
+
+        monkeypatch.setattr(sampler, "_exponential_rows", planted_row)
+        report = geometric_hit_count_oracle(Barycentric(p), 1, None, simplex)
+        assert (report.counts[0], report.disagreements) == (1, 0)
+        verdicts.append(report.ties)
+    assert verdicts == [1, 0]
+
+
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_frame_off_the_hull_is_inconsistent(n, monkeypatch):
     rng = np.random.default_rng(n)

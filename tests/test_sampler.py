@@ -1,9 +1,10 @@
+import gc
 import itertools
 import sys
 import threading
 import tracemalloc
 import warnings
-from contextlib import closing
+from contextlib import closing, suppress
 
 import numpy as np
 import pytest
@@ -529,11 +530,11 @@ class TestExponentialRows:
         for _ in sampler._exponential_rows(4, 100, RngSeed(1).generator(), 100):
             assert threading.active_count() == baseline
         for _ in sampler._exponential_rows(4, 201, RngSeed(1).generator(), 100):
-            # the helper waits for a free buffer until the last block is filled
+            # the helper waits at the barrier until the last block is filled
             assert threading.active_count() in (baseline, baseline + 1)
         assert threading.active_count() == baseline
         blocks = sampler._exponential_rows(4, 300, RngSeed(1).generator(), 100)
-        next(blocks)  # the third block waits for this one's buffer
+        next(blocks)  # the helper holds the filled second block at the barrier
         assert threading.active_count() == baseline + 1
         blocks.close()
         assert threading.active_count() == baseline
@@ -562,7 +563,7 @@ class TestExponentialRows:
             want = RngSeed(seed).generator().standard_exponential(size=(1000, 3))
             np.testing.assert_array_equal(results[seed], want)
 
-    @pytest.mark.parametrize("taken", [1, 2, 3])  # the helper then waits on either buffer
+    @pytest.mark.parametrize("taken", [1, 2, 3])  # the helper then waits after either buffer
     def test_a_consumer_that_stops_early_joins_the_helper(self, taken):
         baseline = threading.active_count()
         with closing(sampler._exponential_rows(4, 10_000, RngSeed(1).generator(), 100)) as stream:
@@ -579,6 +580,57 @@ class TestExponentialRows:
                 pass
         assert threading.active_count() == baseline
         assert rng.fills == fail_at  # the helper stops at its error
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 8), rows=st.integers(1, 64))
+    def test_every_exit_keeps_the_stream_and_joins_the_helper(self, data, n, rows):
+        count = data.draw(st.integers(1, 5 * rows), "count")
+        n_blocks = -(-count // rows)
+        stop = data.draw(st.integers(0, n_blocks - 1), "blocks taken before an early stop")
+        fail_at = data.draw(st.integers(1, n_blocks), "the fill that raises")
+        serial = np.random.default_rng(0)  # the stream of every FailingRng
+        want = serial.standard_exponential(size=(count, n))
+        baseline = threading.active_count()
+
+        def drawn(blocks):
+            return np.concatenate([want[:0], *blocks])
+
+        rng = FailingRng(0)  # fills are numbered from 1: none fails
+        full = [block.copy() for block in sampler._exponential_rows(n, count, rng, rows)]
+        assert threading.active_count() == baseline
+        np.testing.assert_array_equal(drawn(full), want)
+        assert rng.rng.standard_exponential() == serial.standard_exponential()
+
+        with closing(sampler._exponential_rows(n, count, FailingRng(0), rows)) as stream:
+            taken = [block.copy() for block in itertools.islice(stream, stop)]
+        assert threading.active_count() == baseline
+        np.testing.assert_array_equal(drawn(taken), want[: stop * rows])
+
+        taken = []
+        with pytest.raises(MemoryError, match="planted"):
+            for block in sampler._exponential_rows(n, count, FailingRng(fail_at), rows):
+                taken.append(block.copy())
+        assert threading.active_count() == baseline
+        # never the block whose fill failed; one block sooner when the
+        # helper's abort overtakes the caller's wake-up from the barrier
+        assert fail_at - 2 <= len(taken) < fail_at
+        np.testing.assert_array_equal(drawn(taken), want[: len(taken) * rows])
+
+    @pytest.mark.parametrize("fail_at", [0, 2, 3])  # no fill error, the helper's first, a later one
+    def test_no_cycle_holds_the_buffers(self, fail_at):
+        # neither a stored fill error nor the error of a barrier broken on
+        # the way out may tie the helper's frame, and with it both buffers,
+        # in a cycle that only the collector frees
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                with suppress(MemoryError):
+                    for _ in sampler._exponential_rows(2, 40, FailingRng(fail_at), 10):
+                        pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n", [3, 32])  # the column race and the argmin tally
     def test_run_trials_joins_the_helper_on_every_exit(self, n, monkeypatch):
