@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochVector, DensityMatrix, to_bloch
-from .sampler import RngSeed, _draw, _lueders, validate_partition
+from .sampler import RngSeed, _draw, _lueders, _to_lambda, validate_partition
 from .simplex import Barycentric, MeasurementBasis, born_probabilities
 
 
@@ -101,10 +101,13 @@ def run_measurement(
     to a vertex). With a partition it is tripartite: the fused collapse
     lands on the block's sub-simplex at the renormalized weights
     p_i / P(K), and a final purification applies the Lueders formula.
-    Deterministic given the seed.
+    Deterministic given the seed: the outcome is the one a one-trial
+    ``run_trials`` on that seed counts, and ``lambda_point`` is
+    ``sample_lambda(d.dim, seed.generator())``, the shot's row divided by
+    its sum; only this trace normalises the row a shot draws.
     """
     blocks = None if partition is None else validate_partition(partition, d.dim)
-    p, lam, i = _draw(d, b, seed.generator())
+    p, row, i = _draw(d, b, seed.generator())
     reduced = _diagonal(p.weights, b)
 
     if blocks is None:
@@ -117,4 +120,4 @@ def run_measurement(
         densities = (d, reduced, _diagonal(p.weights[members] / weight, b, members), purified)
 
     stages = tuple(ProcessStage(label, rho) for label, rho in zip(labels, densities))
-    return ProcessTrace(stages=stages, outcome=outcome, lambda_point=lam)
+    return ProcessTrace(stages=stages, outcome=outcome, lambda_point=_to_lambda(row))

@@ -22,8 +22,9 @@ never by 0, so an exact 0.0 draw cannot form the NaN of 0/0. A weight at
 or below ``NEGLIGIBLE_WEIGHT`` = 1e-300 counts as zero: it could win
 only against a draw below 1e-297, and a subnormal one would overflow the
 quotients of any draw. This O(N)
-rule is the production path and is written once, in ``_ratios``;
-:func:`classify`, the oracle's comparison and :func:`run_trials` on a
+rule is the production path and is written once, in ``_ratios``; a
+single row's argmin of it, ``_winner``, serves :func:`classify` and the
+single shots, and the oracle's comparison and :func:`run_trials` on a
 large support take the argmin of its full-width output. On a small
 support :func:`run_trials` races the same quotients column by column and
 never reads a zero-weight column, whose +inf could not win anyway.
@@ -94,8 +95,13 @@ each, so memory peaks there: a run of any length peaks near 0.6-0.8 MiB
 (tracemalloc), and the block being classified and its ratios fit the
 2 MiB L2 of one core of a 2-core Xeon VM while the helper fills the
 other buffer on the other core.
-The oracle normalises its blocks in place, and :func:`sample_lambda`
-one row of its own, drawn in one call.
+A single shot is one trial: it draws one row of n exponentials in one
+call and races it raw with the rule of a block, so :func:`measure_once`
+and :func:`measure_degenerate` build no lambda and pick the outcome a
+one-trial :func:`run_trials` on the same seed counts. The oracle
+normalises its blocks in place; :func:`sample_lambda`, and
+:func:`~blochsim.collapse.run_measurement` for the lambda its trace
+returns, divide one row by its sum, the same bits either way.
 Skipping the normalisation can change an outcome only where two ratios
 of a row agree to within one rounding step.
 
@@ -396,15 +402,27 @@ def _column_race(blocks, p: np.ndarray, sup: np.ndarray, rows: int, counts: np.n
         counts[cols[0]] += m - won
 
 
+def _to_lambda(row: np.ndarray) -> Barycentric:
+    """The point of the simplex that a row of exponentials stands for: the
+    row divided by its sum, in place."""
+    row /= row.sum()
+    return Barycentric(row)
+
+
 def sample_lambda(n: int, rng: np.random.Generator) -> Barycentric:
     """One interaction point, Lebesgue-uniform on the (n-1)-simplex.
 
     One ``standard_exponential(n)`` call divided by its sum: the draws of
-    one row of a :func:`run_trials` block, normalised as the oracle's blocks are.
+    one row of a :func:`run_trials` block, or of one shot, normalised as
+    the oracle's blocks and :func:`~blochsim.collapse.run_measurement`'s
+    lambda are.
     """
-    e = rng.standard_exponential(_as_integer(n, "simplex dim", 2, error=DimensionError))
-    e /= e.sum()
-    return Barycentric(e)
+    return _to_lambda(rng.standard_exponential(_as_integer(n, "simplex dim", 2, error=DimensionError)))
+
+
+def _winner(row: np.ndarray, weights: np.ndarray) -> int:
+    """argmin_j row_j / p_j, +inf where p_j is zero, ties to the smallest index."""
+    return int(np.argmin(_ratios(row, weights)))
 
 
 def classify(lam: Barycentric, p: Barycentric) -> int:
@@ -417,21 +435,31 @@ def classify(lam: Barycentric, p: Barycentric) -> int:
     """
     if lam.dim != p.dim:
         raise DimensionError(f"lambda has dim {lam.dim} but p has dim {p.dim}")
-    return int(np.argmin(_ratios(lam.weights, p.weights)))
+    return _winner(lam.weights, p.weights)
 
 
 def _draw(d: DensityMatrix, b: MeasurementBasis, rng: np.random.Generator):
-    """One shot's symmetry breaking: the Born weights p of d in b, a uniform
-    lambda and the outcome i, the sub-region A_i that holds lambda."""
+    """One shot's symmetry breaking, a one-trial :func:`run_trials`: the Born
+    weights p of d in b, one row of n exponentials and the outcome i, the
+    winner of the row's race, as a block classifies it.
+
+    The row is returned raw, the draws of ``sample_lambda(n, rng)`` before
+    they are divided by their sum; only a caller that returns lambda
+    normalises it (``_to_lambda``).
+    """
     p = born_probabilities(d, b)
-    lam = sample_lambda(d.dim, rng)
-    return p, lam, classify(lam, p)
+    row = rng.standard_exponential(d.dim)
+    return p, row, _winner(row, p.weights)
 
 
 def measure_once(
     d: DensityMatrix, b: MeasurementBasis, rng: np.random.Generator
 ) -> tuple[int, DensityMatrix]:
-    """One collapse: sample lambda, classify, return (outcome, |a_i><a_i|)."""
+    """One collapse: draw one row, race it, return (outcome, |a_i><a_i|).
+
+    The outcome is the one ``run_trials(d, b, 1, seed)`` counts when ``rng``
+    is ``seed.generator()``; no lambda is built.
+    """
     _, _, i = _draw(d, b, rng)
     return i, b.projector(i)
 
@@ -507,7 +535,9 @@ def measure_degenerate(
     is P_K D P_K / Tr(P_K D P_K) with P_K the block projector. A pure
     input yields a pure post-state (back to the sphere surface). Classes
     of zero probability are never sampled; reaching one raises
-    ContractError.
+    ContractError. The class is the one ``run_trials(d, b, 1, seed,
+    partition)`` counts when ``rng`` is ``seed.generator()``: the shot
+    races its raw row as a block does and builds no lambda.
     """
     blocks = validate_partition(partition, d.dim)
     p, _, i = _draw(d, b, rng)

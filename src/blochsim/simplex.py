@@ -91,10 +91,12 @@ class Barycentric:
         w = _numbers(self.weights, np.float64, "barycentric weights")
         if w.ndim != 1 or w.size < 1:
             raise DimensionError(f"barycentric weights must be a nonempty vector, got shape {w.shape}")
-        total = sum(w.tolist())  # Python floats: an overflow is inf, not a RuntimeWarning
+        values = w.tolist()
+        total = sum(values)  # Python floats: an overflow is inf, not a RuntimeWarning
         if not abs(total - 1.0) <= ALGEBRA_TOL:
             raise ContractError(f"barycentric weights sum to {total!r}, expected 1")
-        low = float(w.min())
+        # a NaN or infinite weight has already failed the sum, so min reads finite floats
+        low = min(values)
         if not low >= -BOUNDARY_TOL:
             raise ContractError(f"barycentric weight {low!r} below -{BOUNDARY_TOL}")
         w.setflags(write=False)

@@ -7,16 +7,16 @@ import it from :mod:`blochsim.generators`; no library module, the package
 root included, may import it, so the 16.7 MB tensor at N=32 cannot
 return to a library path.
 
-Every lambda is drawn in one of two places: the block generator
+Every lambda is drawn in one of three places: the block generator
 ``_exponential_rows``, with the loop ``fill_ahead`` that it runs on its
-helper thread over the same block schedule, or the one-call draw of
-``sample_lambda``, so no consumer grows a draw loop of its own. Every
-call of the block generator is consumed inside ``contextlib.closing``,
-so a consumer that raises or stops early still breaks the one barrier
-and joins the helper. Importing the CLI loads no process pool,
-``concurrent.futures`` or ``queue``: the helper thread needs
-``threading`` alone, so the import time of every run cannot grow
-unnoticed.
+helper thread over the same block schedule, the one-row draw of a shot,
+``_draw``, or the one-call draw of ``sample_lambda``, so no consumer
+grows a draw loop of its own. Every call of the block generator is
+consumed inside ``contextlib.closing``, so a consumer that raises or
+stops early still breaks the one barrier and joins the helper.
+Importing the CLI loads no process pool, ``concurrent.futures`` or
+``queue``: the helper thread needs ``threading`` alone, so the import
+time of every run cannot grow unnoticed.
 
 Every [re, im] pair is read by one codec, ``serialize.pairs_to_array``:
 ``cli.py`` converts no config value with ``complex`` or ``float``, and no
@@ -38,12 +38,16 @@ caller of ``operator.index``, and ``cli.py`` asks no ``isinstance(..., int)``
 of a config value, so no second integer check with its own bounds and
 messages grows back.
 
-A single shot breaks the symmetry in one step, ``sampler._draw``, the one
-caller of ``sample_lambda`` and ``classify``. Basis-diagonal states are
-built by ``collapse._diagonal`` alone, the one place of the contraction
-``einsum("ji,jk->ik", ...)``, and the computational-basis flag
-``_is_identity`` is read only there and in ``born_probabilities``, so no
-second collapse path or diagonal shortcut grows back.
+A single shot breaks the symmetry in one step, ``sampler._draw``, which
+races its raw row with ``_winner``, the one argmin of a single row that
+``classify`` also calls. No library function calls ``sample_lambda`` or
+``classify``: only ``run_measurement`` turns a shot's row into lambda,
+through ``_to_lambda``, the normaliser ``sample_lambda`` uses.
+Basis-diagonal states are built by ``collapse._diagonal`` alone, the one
+place of the contraction ``einsum("ji,jk->ik", ...)``, and the
+computational-basis flag ``_is_identity`` is read only there and in
+``born_probabilities``, so no second collapse path or diagonal shortcut
+grows back.
 """
 
 import ast
@@ -88,10 +92,11 @@ def test_library_modules_do_not_import_generators():
 #: Generator methods that draw lambda or the exponentials it is made of.
 LAMBDA_DRAWS = {"standard_exponential", "exponential", "dirichlet"}
 #: The one block generator of lambda draws, its helper thread's fill loop,
-#: and the one-call draw of a single shot.
+#: the one-row draw of a single shot, and the public one-call draw.
 DRAWERS = {
     ("sampler.py", "_exponential_rows"),
     ("sampler.py", "fill_ahead"),
+    ("sampler.py", "_draw"),
     ("sampler.py", "sample_lambda"),
 }
 
@@ -244,9 +249,16 @@ def _calls_to(name: str):
 
 
 def test_one_draw_step_and_one_basis_diagonal_builder():
-    draw = {("sampler.py", "_draw")}
-    assert _sites(_calls_to("sample_lambda")) == draw
-    assert _sites(_calls_to("classify")) == draw
+    draw = ("sampler.py", "_draw")
+    shots = {
+        ("sampler.py", "measure_once"),
+        ("sampler.py", "measure_degenerate"),
+        ("collapse.py", "run_measurement"),
+    }
+    assert _sites(_calls_to("_draw")) == shots
+    assert _sites(_calls_to("_winner")) == {draw, ("sampler.py", "classify")}
+    assert _sites(_calls_to("_to_lambda")) == {("sampler.py", "sample_lambda"), ("collapse.py", "run_measurement")}
+    assert _sites(_calls_to("sample_lambda")) | _sites(_calls_to("classify")) == set()
     diagonal = ("collapse.py", "_diagonal")
     assert _sites(lambda node: _is_einsum(node, DIAGONAL_SUBSCRIPTS)) == {diagonal}
     reads_identity = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_is_identity")

@@ -29,13 +29,22 @@ from blochsim import (
     ket_to_density,
     measure_degenerate,
     measure_once,
+    run_measurement,
     run_trials,
     sample_lambda,
     to_bloch,
     validate_partition,
 )
 from blochsim import sampler
-from util import cm_measure, purity, random_ket, standard_state_3
+from util import (
+    cm_measure,
+    projector_mixture,
+    purity,
+    random_basis,
+    random_density,
+    random_ket,
+    standard_state_3,
+)
 
 B3 = MeasurementBasis.canonical(3)
 B2 = MeasurementBasis.canonical(2)
@@ -200,12 +209,95 @@ class TestMeasureOnce:
             tallies[measure_degenerate(standard_state_3(), B3, blocks, rng)[0]] += 1
         np.testing.assert_array_equal(fused.counts, tallies)
 
+    def test_shots_build_no_lambda(self, monkeypatch):
+        # the Born weights are the only Barycentric a shot builds; the trace
+        # builds one more, the lambda it returns
+        built = []
+        check = Barycentric.__post_init__
+
+        def counting(self):
+            check(self)
+            built.append(self)
+
+        monkeypatch.setattr(Barycentric, "__post_init__", counting)
+        d = standard_state_3()
+        born_probabilities(d, B3)
+        per_born = len(built)
+        built.clear()
+        measure_once(d, B3, RngSeed(5).generator())
+        measure_degenerate(d, B3, [[0, 2], [1]], RngSeed(5).generator())
+        assert len(built) == 2 * per_born
+        built.clear()
+        trace = run_measurement(d, B3, seed=RngSeed(5))
+        assert len(built) == per_born + 1
+        assert built[-1] is trace.lambda_point
+
+
+#: Dims 2..12, where run_trials races the columns, and 32, where a full support takes the argmin.
+SHOT_DIMS = st.one_of(st.integers(2, 12), st.just(32))
+
+
+def _shot_state(rng: np.random.Generator, b: MeasurementBasis, kind: str) -> DensityMatrix:
+    n = b.dim
+    if kind == "pure":
+        return ket_to_density(random_ket(rng, n))
+    if kind == "mixed":
+        return random_density(rng, n)
+    # a mixture of some basis states, down to a vertex: the others have Born
+    # weight zero, exactly in the canonical basis and to rounding in others
+    weights = rng.exponential(size=n) * (rng.random(n) < 0.5)
+    weights[rng.integers(n)] += 1.0
+    return projector_mixture(b, weights / weights.sum())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=SHOT_DIMS,
+    canonical=st.booleans(),
+    kind=st.sampled_from(["pure", "mixed", "zero weights"]),
+    partitioned=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_a_shot_is_one_trial(n, canonical, kind, partitioned, seed):
+    """Each shot races the row a one-trial run_trials draws, and the trace's
+    lambda is that row normalised as sample_lambda normalises it."""
+    rng = np.random.default_rng(seed)
+    b = MeasurementBasis.canonical(n) if canonical else random_basis(rng, n)
+    d = _shot_state(rng, b, kind)
+    partition = None
+    if partitioned:
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+        partition = [blk.tolist() for blk in np.split(rng.permutation(n), cuts)]
+    s = RngSeed(seed)
+
+    i, _ = measure_once(d, b, s.generator())
+    assert run_trials(d, b, 1, s).counts[i] == 1
+    k, _ = measure_degenerate(d, b, partition or [[j] for j in range(n)], s.generator())
+    assert run_trials(d, b, 1, s, partition).counts[k] == 1
+    trace = run_measurement(d, b, partition, seed=s)
+    assert trace.outcome == (i if partition is None else k)
+    lam = sample_lambda(n, s.generator()).weights
+    assert np.array_equal(trace.lambda_point.weights.view(np.uint64), lam.view(np.uint64))
+
 
 class TestRunTrials:
     def test_single_trial(self):
         report = run_trials(standard_state_3(), B3, 1, RngSeed(0))
         assert report.n_trials == 1
         assert int(report.counts.sum()) == 1
+
+    @pytest.mark.parametrize("w,draws", [(1e-300, False), (5e-300, True)])
+    def test_negligible_weight_is_zero_for_the_draw(self, monkeypatch, w, draws):
+        # NEGLIGIBLE_WEIGHT = 1e-300: a weight at it leaves one outcome in
+        # the support, so nothing is drawn; five times it is a second outcome
+        streams = []
+        rows = sampler._exponential_rows
+        monkeypatch.setattr(sampler, "_exponential_rows", lambda *args: streams.append(args) or rows(*args))
+        d = DensityMatrix(np.diag([1.0 - w, w]))
+        report = run_trials(d, B2, 1000, RngSeed(3))
+        assert report.exact_probs.weights.tolist() == [1.0, w]
+        assert report.counts.tolist() == [1000, 0]
+        assert len(streams) == int(draws)
 
     def test_deterministic_given_seed(self):
         a = run_trials(standard_state_3(), B3, 20000, RngSeed(17))
@@ -766,7 +858,7 @@ class TestMeasureDegenerate:
     def test_zero_weight_class_is_a_contract_violation(self, monkeypatch):
         # reachable only through a broken classifier: outcome 3 has p = 0
         d = ket_to_density(Ket(np.sqrt([0.5, 0.5, 0.0])))
-        monkeypatch.setattr(sampler, "classify", lambda lam, p: 2)
+        monkeypatch.setattr(sampler, "_winner", lambda row, weights: 2)
         with pytest.raises(ContractError, match="zero-probability class"):
             measure_degenerate(d, B3, [[0, 1], [2]], RngSeed(0).generator())
 

@@ -192,6 +192,13 @@ class TestBarycentric:
         with pytest.raises(ContractError):
             Barycentric([1.2, -0.2])
 
+    def test_boundary_tol_is_how_far_a_weight_may_dip(self):
+        # BOUNDARY_TOL = 1e-12: a face point's rounding residue passes, a
+        # weight twice as far below zero does not
+        assert Barycentric([1 + 5e-13, -5e-13]).weights[1] == -5e-13
+        with pytest.raises(ContractError, match="below"):
+            Barycentric([1 + 2e-12, -2e-12])
+
 
 class TestBornProbabilities:
     def test_eigenstate(self, s3):
