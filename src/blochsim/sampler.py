@@ -37,13 +37,12 @@ the measure ratios, builds its systems: S = [vert_y; 1], vert_y the
 vertices' frame coordinates, and the region systems S_i, S with column i
 dropped and r_par's column appended. Because sum(lambda) = 1, a sample's
 frame coordinates are vert_y . lambda, one (N-1) x N product per sample,
-never a trip through R^(N^2 - 1). The frame must span the simplex's
-affine hull, and that is checked once per simplex, before any draw: a
-sample is a convex combination of the vertices, so its distance off the
-frame's span is at most the largest vertex's. The coefficients of all N
-regions come from one product of [y; 1] with the N stacked inverses of
-the S_i, each checked by its back-substitution residual. It draws blocks
-of ``_ORACLE_ELEMS // N^2`` samples (2^16 / N^2), at least
+never a trip through R^(N^2 - 1). The simplex derives its frame from
+its vertices, so the frame spans their affine hull and every sample, a
+convex combination of them, lies on it up to rounding. The coefficients
+of all N regions come from one product of [y; 1] with the N stacked
+inverses of the S_i, each checked by its back-substitution residual. It
+draws blocks of ``_ORACLE_ELEMS // N^2`` samples (2^16 / N^2), at least
 ``_ORACLE_MIN_BLOCK`` = 256, from ``_exponential_rows`` at that size (two
 buffers of at most 256 KiB of draws each, at N = 2) and normalises each
 in place. It solves a block sample axis last in two reused slabs, the
@@ -627,13 +626,12 @@ def geometric_hit_count_oracle(
     accepts when all its coefficients are >= -1e-10 and its residual is
     within 1e-9. Exactly one region must accept away from boundaries;
     zero acceptances, or two regions claiming the sample strictly (beyond
-    the tie band), raise OracleInconsistencyError. So does a frame that
-    does not span the simplex's affine hull: the largest off-hull residual
-    ||n_j - centroid - frame^T frame (n_j - centroid)|| of a vertex must
-    be within 1e-9, checked once before any draw, as it bounds that of
-    every sample, a convex combination of the vertices. The same lambda
-    stream is also classified with the production argmin rule and
-    disagreements outside the tie band are counted.
+    the tie band), raise OracleInconsistencyError, and so does a singular
+    region system, before any draw. The frame spans the simplex's affine
+    hull by construction, derived from the vertices, so a sample, a convex
+    combination of them, needs no off-hull check. The same lambda stream
+    is also classified with the production argmin rule and disagreements
+    outside the tie band are counted.
 
     The membership test never reads the ratio rule: it solves the
     embedded geometry, so a fault in either route shows as a
@@ -649,8 +647,8 @@ def geometric_hit_count_oracle(
     if simplex.dim != n:
         raise DimensionError(f"simplex has dim {simplex.dim} but rpar has dim {n}")
 
-    verts, centroid, frame = simplex.vertices, simplex.centroid, simplex.frame
-    stack = _frame_systems(verts, centroid, frame, pw @ verts)
+    verts = simplex.vertices
+    stack = _frame_systems(verts, simplex.centroid, simplex.frame, pw @ verts)
     vert_y, systems = stack[0, :-1], stack[1:]
     try:
         inverses = np.linalg.inv(systems).reshape(n * n, n)
@@ -658,11 +656,6 @@ def geometric_hit_count_oracle(
         raise OracleInconsistencyError(
             "a region system is singular; geometry is inconsistent"
         ) from None
-    # each sample is a convex combination of the vertices, so it lies no
-    # farther off the frame's span than the farthest vertex
-    off_hull = verts.T - centroid[:, None] - frame.T @ vert_y
-    if not np.linalg.norm(off_hull, axis=0).max() <= HULL_TOL:
-        raise OracleInconsistencyError("frame does not span the simplex; geometry is inconsistent")
 
     counts = np.zeros(n, dtype=np.int64)
     ties = 0

@@ -17,8 +17,9 @@ left-hand side as |det S_i| / |det S|, S and S_i the square systems of
 the simplex and of A_i in frame coordinates, which ``_frame_systems``
 alone builds; :func:`born_probabilities` the right-hand side from traces,
 read off the diagonal of D when the basis is the computational one.
-A :class:`MeasurementSimplex` stores its vertices, centroid and frame;
-its total measure is derived from them on request, from the same system S.
+A :class:`MeasurementSimplex` is given its vertices alone and derives its
+centroid and frame from them; its total measure is derived on request,
+from the same system S.
 """
 
 from __future__ import annotations
@@ -109,7 +110,10 @@ class Barycentric:
 
 @dataclass(frozen=True)
 class MeasurementSimplex:
-    """The N outcome vertices plus cached affine geometry.
+    """The N outcome vertices, and the affine geometry derived from them.
+
+    Only the vertices are given: they fix the simplex, and the centroid
+    and frame are worked out from them once, at construction.
 
     Attributes
     ----------
@@ -127,23 +131,22 @@ class MeasurementSimplex:
     """
 
     vertices: np.ndarray
-    centroid: np.ndarray
-    frame: np.ndarray
+    centroid: np.ndarray = field(init=False)
+    frame: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        names = ("vertices", "centroid", "frame")
-        arrays = [_numbers(getattr(self, name), np.float64, f"simplex {name}") for name in names]
-        v, c, f = arrays
+        v = _numbers(self.vertices, np.float64, "simplex vertices")
         n = v.shape[0] if v.ndim == 2 else 0
-        k = n * n - 1
-        if n < 2 or (v.shape, c.shape, f.shape) != ((n, k), (k,), (n - 1, k)):
-            raise DimensionError(
-                "simplex needs vertices (N, N^2 - 1), centroid (N^2 - 1,) and frame "
-                f"(N - 1, N^2 - 1) with N >= 2, got shapes {v.shape}, {c.shape} and {f.shape}"
-            )
-        if not all(np.isfinite(a).all() for a in arrays):
+        if n < 2 or v.shape != (n, n * n - 1):
+            raise DimensionError(f"simplex vertices must have shape (N, N^2 - 1) with N >= 2, got {v.shape}")
+        if not np.isfinite(v).all():
             raise ContractError("simplex has non-finite entries")
-        for name, a in zip(names, arrays):
+        with np.errstate(over="ignore"):  # vertices near float max: an edge or the mean is inf
+            c = v.mean(axis=0)
+            f = np.array(_gram_schmidt(v[:-1] - v[-1]), order="C")  # Q^T is column-major
+        if not (np.isfinite(c).all() and np.isfinite(f).all()):
+            raise GeometryError("simplex edges or centroid overflow the float range")
+        for name, a in (("vertices", v), ("centroid", c), ("frame", f)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -184,10 +187,7 @@ def basis_to_simplex(b: MeasurementBasis) -> MeasurementSimplex:
     """
     kets = b.kets
     # the projectors |a_i><a_i|, entry for entry as ket_to_density builds them
-    vertices = _bloch_rows(kets[:, :, None] * kets.conj()[:, None, :])
-    centroid = vertices.mean(axis=0)
-    frame = _gram_schmidt(vertices[:-1] - vertices[-1])
-    return MeasurementSimplex(vertices, centroid, frame)
+    return MeasurementSimplex(_bloch_rows(kets[:, :, None] * kets.conj()[:, None, :]))
 
 
 def _frame_systems(vertices, centroid, frame, point=None) -> np.ndarray:

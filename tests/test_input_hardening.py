@@ -36,6 +36,7 @@ from blochsim import (
     ContractError,
     DensityMatrix,
     DimensionError,
+    GeometryError,
     Ket,
     MeasurementBasis,
     MeasurementSimplex,
@@ -162,9 +163,7 @@ VALUE_OBJECTS = {
     "MeasurementBasis": (MeasurementBasis, [[1, 0], [0, 1]], "c"),
     "Barycentric": (Barycentric, [1, 0], "f"),
     "BlochVector": (BlochVector, [0, 0, 1], "f"),
-    "MeasurementSimplex": (
-        lambda x: MeasurementSimplex(x, _S2.centroid, _S2.frame), [[0, 0, 1], [0, 0, -1]], "f"
-    ),
+    "MeasurementSimplex": (MeasurementSimplex, [[0, 0, 1], [0, 0, -1]], "f"),
     "TrialReport": (lambda x: TrialReport(1, Barycentric([1.0, 0.0]), x), [1, 0], "i"),
     "OracleReport": (lambda x: OracleReport(1, x, 0, 0), [1, 0], "i"),
 }
@@ -219,23 +218,26 @@ def test_counts_are_summed_without_wrapping():
 
 
 _S3 = basis_to_simplex(MeasurementBasis.canonical(3))
+#: Vertices whose one edge overflows: the derived frame would be NaN.
+_OVERFLOWING = [[1.7e308, 1, 0], [-1.7e308, 0, 1]]
 
 
 @pytest.mark.parametrize(
-    "vertices, centroid, frame, error",
+    "vertices, error",
     [
-        (_S3.vertices, _S3.centroid[:-1], _S3.frame, DimensionError),
-        (_S3.vertices, _S3.centroid, _S3.frame[:-1], DimensionError),
-        (_S3.vertices[:, :-1], _S3.centroid[:-1], _S3.frame[:, :-1], DimensionError),
-        (_S3.vertices[0], _S3.centroid, _S3.frame, DimensionError),
-        (np.zeros((1, 0)), np.zeros(0), np.zeros((0, 0)), DimensionError),
-        (_S3.vertices, np.full(8, np.nan), _S3.frame, ContractError),
+        (_S3.vertices[:, :-1], DimensionError),
+        (_S3.vertices[0], DimensionError),
+        (np.zeros((1, 0)), DimensionError),
+        (np.where(np.eye(3, 8) == 1, np.nan, _S3.vertices), ContractError),
+        (_OVERFLOWING, GeometryError),
+        (np.vstack([_S3.vertices[:2], _S3.vertices[:2].mean(axis=0)]), GeometryError),
     ],
-    ids=["short centroid", "short frame", "short vertices", "one vertex row", "N = 1", "NaN centroid"],
+    ids=["short vertices", "one vertex row", "N = 1", "NaN vertex", "overflowing edges", "affinely dependent"],
 )
-def test_simplex_checks_its_shapes(vertices, centroid, frame, error):
+def test_simplex_checks_its_shapes(vertices, error):
+    # every warning is an error here, so a RuntimeWarning on the way fails the test
     with pytest.raises(error):
-        MeasurementSimplex(vertices, centroid, frame)
+        MeasurementSimplex(vertices)
 
 
 _VERTEX_3 = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
@@ -311,7 +313,7 @@ ENTRY_POINTS = {
     "MeasurementBasis": (MeasurementBasis, ([[1, 0], [0, 1]],)),
     "Barycentric": (Barycentric, ([1, 0],)),
     "BlochVector": (BlochVector, ([0, 0, 1],)),
-    "MeasurementSimplex": (MeasurementSimplex, (_S2.vertices, _S2.centroid, _S2.frame)),
+    "MeasurementSimplex": (MeasurementSimplex, (_S2.vertices,)),
     "TrialReport": (lambda n, counts: TrialReport(n, Barycentric([1.0, 0.0]), counts), (1, [1, 0])),
     "OracleReport": (OracleReport, (1, [1, 0], 0, 0)),
     "RngSeed": (lambda seed, stream: RngSeed(seed, stream).generator(), (0, 0)),
@@ -348,6 +350,7 @@ BEYOND_REPR = st.sampled_from([10**5000, -(10**5000)])
 @example(name="run_trials", drawn=[10**5000, None, None, None])
 @example(name="MeasurementBasis.canonical", drawn=[-(10**5000), None, None, None])
 @example(name="pairs_to_array", drawn=[[[10**5000, 0], [0, 0]], None, None, None])
+@example(name="MeasurementSimplex", drawn=[_OVERFLOWING, None, None, None])
 def test_every_entry_point_returns_or_raises_a_blochsim_error(name, drawn):
     call, valid = ENTRY_POINTS[name]
     try:

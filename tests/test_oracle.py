@@ -7,9 +7,9 @@ coordinates weighted by its barycentric lambda. The reference below is
 the per-region pseudo-inverse solve over the embedded vertices that it
 replaced, kept verbatim: on the same lambda stream both must report
 identical counts, ties and disagreements. Unlike the reference, the
-oracle reads the simplex's frame, so a frame that does not span the
-affine hull must be an error, raised once per simplex before any sample
-is drawn.
+oracle reads the simplex's frame, derived from the vertices so that it
+spans their affine hull; a singular region system must be an error,
+raised before any sample is drawn.
 """
 
 import threading
@@ -31,6 +31,7 @@ from blochsim import (
 )
 from blochsim import sampler
 from blochsim.errors import DimensionError, GeometryError
+from blochsim.simplex import _frame_systems
 from blochsim.sampler import (
     OracleReport,
     _CHUNK_ELEMS,
@@ -222,23 +223,34 @@ def test_boundary_points_match_the_pinv_oracle(n, monkeypatch):
     assert geometric_hit_count_oracle(p, len(planted), None, simplex).ties == len(planted)
 
 
-@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("n", [2, 3, 8])
 @pytest.mark.parametrize("switched_off", [None, "MEMBER_TOL", "TIE_BAND"])
 def test_the_tolerance_table_decides_which_rows_tie(n, switched_off, monkeypatch):
-    # rows whose two smallest ratios, of outcomes 0 and 1, are 1/2 and 1/2 + gap:
+    # rows whose two smallest ratios, of outcomes 0 and 1, are r and r + gap:
     # the ratio rule ties them when gap <= TIE_BAND, and region 1 claims them
-    # too when its coefficient on vertex 0, -gap * p_0, is >= -MEMBER_TOL. At
-    # p_0 = 1/2 both rules tie the gap of 5e-11 and neither that of 5e-10, so
-    # each tolerance is checked once more with the other rule switched off.
-    rng = np.random.default_rng(n)
-    p = np.array([0.5, 0.25, *np.full(n - 2, 0.25 / (n - 2))])
-    simplex = basis_to_simplex(random_basis(rng, n))
+    # too when its coefficient on vertex 0, -gap * p_0, reads >= -MEMBER_TOL.
+    # At p_0 = 1/2 and r = 1/2 both rules tie the gap of 5e-11 and neither
+    # that of 5e-10, so each tolerance is checked once more with the other
+    # rule switched off. At N = 2 the state p = [1 - 1e-7, 1e-7] lies near a
+    # vertex: region 1's system has condition number 2e7 and the geometry
+    # reads that coefficient as -5.6e-10 at either gap, so only the ratio
+    # rule ties the row, and without it nothing does.
+    if n == 2:
+        p = np.array([1.0 - 1e-7, 1e-7])
+        simplex = basis_to_simplex(MeasurementBasis.canonical(2))
+    else:
+        p = np.array([0.5, 0.25, *np.full(n - 2, 0.25 / (n - 2))])
+        simplex = basis_to_simplex(random_basis(np.random.default_rng(n), n))
     if switched_off:
         monkeypatch.setattr(sampler, switched_off, 0.0)
     verdicts = []
     for gap in (5e-11, 5e-10):
-        row = p * (1.0 - 0.5 * p[0] - (0.5 + gap) * p[1]) / (1.0 - p[0] - p[1])
-        row[:2] = 0.5 * p[0], (0.5 + gap) * p[1]
+        if n == 2:
+            r = 1.0 - gap * p[1]  # the row sums to 1
+            row = np.array([r * p[0], (r + gap) * p[1]])
+        else:
+            row = p * (1.0 - 0.5 * p[0] - (0.5 + gap) * p[1]) / (1.0 - p[0] - p[1])
+            row[:2] = 0.5 * p[0], (0.5 + gap) * p[1]
 
         def planted_row(dim, count, rng, rows, row=row):
             yield row[None].copy()
@@ -247,41 +259,23 @@ def test_the_tolerance_table_decides_which_rows_tie(n, switched_off, monkeypatch
         report = geometric_hit_count_oracle(Barycentric(p), 1, None, simplex)
         assert (report.counts[0], report.disagreements) == (1, 0)
         verdicts.append(report.ties)
-    assert verdicts == [1, 0]
+    assert verdicts == ([0, 0] if (n, switched_off) == (2, "TIE_BAND") else [1, 0])
 
 
-@pytest.mark.parametrize("n", [2, 3, 8])
-def test_frame_off_the_hull_is_inconsistent(n, monkeypatch):
-    rng = np.random.default_rng(n)
-    s = basis_to_simplex(random_basis(rng, n))
-    p = interior_weights(rng, n, 0.1)
-    k = s.vertices.shape[1]
-    rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    rotated = MeasurementSimplex(s.vertices, s.centroid, s.frame @ rotation)
+def test_a_singular_region_system_is_inconsistent(monkeypatch):
+    # the simplex derives a frame that spans it, so plant a flat one at the
+    # oracle's seam: at N = 2 a frame orthogonal to the one edge maps both
+    # vertices to 0, and every region system is singular
+    s = basis_to_simplex(MeasurementBasis.canonical(2))
+    across = np.linalg.svd(s.frame)[2][1:2]
 
     def no_draws(*args):
         raise AssertionError("drew samples for an inconsistent simplex")
 
-    # the vertices bound every sample's distance off the hull: one check, before any draw
-    with monkeypatch.context() as m, pytest.raises(OracleInconsistencyError, match="span"):
-        m.setattr(sampler, "_exponential_rows", no_draws)
-        geometric_hit_count_oracle(p, 1000, RngSeed(n).generator(), rotated)
-    # a rotation inside the hull spans the same directions: same counts
-    turn = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
-    turned = MeasurementSimplex(s.vertices, s.centroid, turn @ s.frame)
-    np.testing.assert_array_equal(
-        geometric_hit_count_oracle(p, 1000, RngSeed(n).generator(), turned).counts,
-        geometric_hit_count_oracle(p, 1000, RngSeed(n).generator(), s).counts,
-    )
-
-
-def test_frame_across_the_hull_is_inconsistent():
-    # at N = 2 a frame orthogonal to the one edge maps both vertices to 0
-    s = basis_to_simplex(MeasurementBasis.canonical(2))
-    across = np.linalg.svd(s.frame)[2][1:2]
-    flat = MeasurementSimplex(s.vertices, s.centroid, across)
+    monkeypatch.setattr(sampler, "_frame_systems", lambda v, c, f, point: _frame_systems(v, c, across, point))
+    monkeypatch.setattr(sampler, "_exponential_rows", no_draws)
     with pytest.raises(OracleInconsistencyError, match="singular"):
-        geometric_hit_count_oracle(Barycentric([0.3, 0.7]), 10, RngSeed(2).generator(), flat)
+        geometric_hit_count_oracle(Barycentric([0.3, 0.7]), 10, RngSeed(2).generator(), s)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

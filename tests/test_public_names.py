@@ -45,7 +45,8 @@ def test_required_inputs_have_no_default_and_dims_are_derived():
     seed = inspect.signature(blochsim.run_measurement).parameters["seed"]
     assert (seed.kind, seed.default) == (inspect.Parameter.KEYWORD_ONLY, empty)
     assert inspect.signature(blochsim.geometric_hit_count_oracle).parameters["simplex"].default is empty
-    assert [f.name for f in dataclasses.fields(blochsim.MeasurementSimplex)] == ["vertices", "centroid", "frame"]
+    simplex_fields = dataclasses.fields(blochsim.MeasurementSimplex)
+    assert [(f.name, f.init) for f in simplex_fields] == [("vertices", True), ("centroid", False), ("frame", False)]
     assert "dim" not in {f.name for f in dataclasses.fields(blochsim.cli.ExperimentConfig)}
 
 

@@ -25,6 +25,7 @@ from blochsim import (
     to_bloch,
 )
 from blochsim.simplex import _gram_schmidt, affine_coordinates
+from blochsim.tolerances import HULL_TOL
 from util import cm_measure, random_basis, random_density, random_ket, standard_state_3
 
 
@@ -114,6 +115,17 @@ class TestGeometry:
         np.testing.assert_allclose(s.frame, expected, rtol=0, atol=1e-14)
         np.testing.assert_allclose(s.frame @ s.frame.T, np.eye(n - 1), rtol=0, atol=1e-14)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 12) | st.just(32), seed=st.integers(0, 2**32 - 1))
+    def test_vertices_lie_on_the_derived_frames_span(self, n, seed):
+        # the oracle reads samples in frame coordinates without checking the
+        # frame: a sample, a convex combination of the vertices, lies no
+        # farther off the frame's span than they do
+        s = basis_to_simplex(random_basis(np.random.default_rng(seed), n))
+        dev = s.vertices - s.centroid
+        off_hull = np.linalg.norm(dev - (dev @ s.frame.T) @ s.frame, axis=1)
+        assert off_hull.max() <= HULL_TOL
+
     @pytest.mark.parametrize(
         "edges",
         [
@@ -191,6 +203,18 @@ class TestBarycentric:
             Barycentric([0.5, 0.4])
         with pytest.raises(ContractError):
             Barycentric([1.2, -0.2])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_hull_tol_is_how_far_a_point_may_lie_off_the_hull(self, n):
+        # HULL_TOL = 1e-9: a point 3e-10 off the hull passes, one 3e-9 off does not
+        s = canonical_simplex(n)
+        normal = np.random.default_rng(n).standard_normal(n * n - 1)
+        normal -= s.frame.T @ (s.frame @ normal)
+        normal /= np.linalg.norm(normal)
+        bc = barycentric_of(BlochVector(s.centroid + 3e-10 * normal), s)
+        np.testing.assert_allclose(bc.weights, np.full(n, 1 / n), atol=1e-12)
+        with pytest.raises(GeometryError, match="off the simplex affine hull"):
+            barycentric_of(BlochVector(s.centroid + 3e-9 * normal), s)
 
     def test_boundary_tol_is_how_far_a_weight_may_dip(self):
         # BOUNDARY_TOL = 1e-12: a face point's rounding residue passes, a

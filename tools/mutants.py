@@ -165,6 +165,7 @@ MUTANTS = (
     *_scaled("MEMBER_TOL", "1e-10"),
     *_scaled("NEGLIGIBLE_WEIGHT", "1e-300"),
     *_scaled("BOUNDARY_TOL", "1e-12"),
+    *_scaled("HULL_TOL", "1e-9"),
 )
 
 
