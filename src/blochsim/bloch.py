@@ -97,7 +97,7 @@ _NUMBER_KINDS = {
 
 
 def _numbers(value, dtype, what: str) -> np.ndarray:
-    """One C-ordered copy of ``value`` as ``dtype``, from numbers that dtype holds.
+    """One C-ordered, read-only copy of ``value`` as ``dtype``, from numbers that dtype holds.
 
     Strings, objects and bools are a ContractError for every dtype, and so
     are complex numbers for a real one and non-integers for int64; numpy
@@ -114,7 +114,9 @@ def _numbers(value, dtype, what: str) -> np.ndarray:
         raise ContractError(f"{what} must be {name}, got dtype {a.dtype}")
     if a.dtype.kind == "u" and dtype is np.int64 and a.size and a.max() > _INT64_MAX:
         raise ContractError(f"{what} must be at most {_INT64_MAX}, got {a.max()}")
-    return np.array(a, dtype=dtype, order="C")
+    copy = np.array(a, dtype=dtype, order="C")
+    copy.setflags(write=False)
+    return copy
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,6 @@ class Ket:
             raise NormalizationError(
                 f"ket is not unit-normalized: sum |psi_k|^2 = {norm_sq!r}"
             )
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -172,7 +173,6 @@ class DensityMatrix:
             raise NormalizationError(f"matrix is not Hermitian: max |D - D^dagger| = {herm:.3e}")
         if not abs(tr - 1.0) <= ALGEBRA_TOL:
             raise NormalizationError(f"matrix does not have unit trace: Tr D = {tr!r}")
-        m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -205,7 +205,6 @@ class BlochVector:
             raise DimensionError(f"Bloch vector needs N^2 - 1 coordinates, N >= 2, got shape {c.shape}")
         if not np.isfinite(c).all():
             raise ContractError("Bloch vector has non-finite coordinates")
-        c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
     @property

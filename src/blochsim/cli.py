@@ -294,9 +294,11 @@ def main(argv=None) -> int:
         prog="blochsim",
         description="Simulate projective quantum measurements on the generalized "
         "Bloch sphere and verify the Born statistics.",
+        argument_default=argparse.SUPPRESS,  # an unset flag overrides nothing
     )
+    # each flag's dest is the config field it overrides
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
-    parser.add_argument("--trials", type=int, help="override n_trials")
+    parser.add_argument("--trials", type=int, dest="n_trials", metavar="TRIALS", help="override n_trials")
     parser.add_argument("--seed", type=int, help="override the RNG seed")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
     parser.add_argument("--format", choices=["json", "csv"], help="report format")
@@ -306,21 +308,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--oracle-check", action="store_true", help="include the membership-oracle comparison"
     )
-    args = parser.parse_args(argv)
+    overrides = vars(parser.parse_args(argv))
+    path = Path(overrides.pop("config"))
 
     try:
-        flags = {
-            "n_trials": args.trials,
-            "seed": args.seed,
-            "out": args.out,
-            "format": args.format,
-            "partition": None if args.partition is None else _split_partition_flag(args.partition),
-            "dump_geometry": args.dump_geometry or None,
-            "trace": args.trace or None,
-            "oracle_check": args.oracle_check or None,
-        }
-        overrides = {field: v for field, v in flags.items() if v is not None}
-        cfg = parse_config(_read_config(Path(args.config)), overrides)
+        if "partition" in overrides:
+            overrides["partition"] = _split_partition_flag(overrides["partition"])
+        cfg = parse_config(_read_config(path), overrides)
     except BlochSimError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -185,7 +185,6 @@ def _tallies(counts, total: int, what: str) -> np.ndarray:
     seen = sum(c.tolist())  # Python ints: an int64 sum of large counts wraps
     if seen != total:
         raise ContractError(f"{what} sum to {seen}, expected {total}")
-    c.setflags(write=False)
     return c
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bloch import BlochVector, DensityMatrix, _as_integer, _bloch_rows, _numbers
 from .errors import BasisError, ContractError, DimensionError, GeometryError
-from .tolerances import ALGEBRA_TOL, BOUNDARY_TOL, HULL_TOL
+from .tolerances import ALGEBRA_TOL, BOUNDARY_TOL, EDGE_TOL, HULL_TOL
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class MeasurementBasis:
             resid = float(np.abs(gram - np.eye(k.shape[0])).max())
         if not resid <= ALGEBRA_TOL:
             raise BasisError(f"basis is not orthonormal: max |<a_i|a_j> - delta_ij| = {resid:.3e}")
-        k.setflags(write=False)
         object.__setattr__(self, "kets", k)
         object.__setattr__(self, "_is_identity", bool((k == np.eye(k.shape[0])).all()))
 
@@ -100,7 +99,6 @@ class Barycentric:
         low = min(values)
         if not low >= -BOUNDARY_TOL:
             raise ContractError(f"barycentric weight {low!r} below -{BOUNDARY_TOL}")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -172,7 +170,7 @@ def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
     """Orthonormalize rows in order, as one QR factorization with R_ii > 0."""
     q, r = np.linalg.qr(rows.T)
     diag = np.diagonal(r)
-    if not np.all(np.abs(diag) >= 1e-14):
+    if not np.all(np.abs(diag) >= EDGE_TOL):
         raise GeometryError("degenerate edge set: simplex vertices are affinely dependent")
     q *= np.sign(diag)
     return q.T

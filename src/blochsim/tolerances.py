@@ -8,6 +8,9 @@ fails the check instead of slipping past ``residual > TOL``.
 ALGEBRA_TOL = 1e-12
 #: Eigenvalue checks; eigensolvers leave larger residuals on boundary states.
 EIGEN_TOL = 1e-10
+#: An edge whose part off the span of the edges before it is shorter than
+#: this makes the vertices affinely dependent: QR leaves rounding of that size.
+EDGE_TOL = 1e-14
 #: Points further than this from the simplex's affine hull are rejected.
 HULL_TOL = 1e-9
 #: Weights may dip this far below zero and still count as inside (valid

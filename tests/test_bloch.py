@@ -28,6 +28,12 @@ class TestKet:
     def test_accepts_complex_phases(self):
         Ket([1j / np.sqrt(2), -1 / np.sqrt(2)])
 
+    def test_algebra_tol_is_how_far_a_norm_may_miss_one(self):
+        # ALGEBRA_TOL = 1e-12: sum |psi_k|^2 = 1 + 3e-13 passes, 1 + 3e-12 does not
+        Ket([np.sqrt(1 + 3e-13), 0.0])
+        with pytest.raises(NormalizationError, match="not unit-normalized"):
+            Ket([np.sqrt(1 + 3e-12), 0.0])
+
 
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):

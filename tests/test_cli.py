@@ -84,6 +84,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="state.density"):
             parse_config(bad)
 
+    def test_eigen_tol_is_how_far_a_density_may_dip_below_zero(self, tmp_path, capsys):
+        # EIGEN_TOL = 1e-10: a least eigenvalue of -3e-11 runs, one of -3e-10 exits 2
+        path = tmp_path / "cfg.json"
+        for dip, code in ((3e-11, 0), (3e-10, 2)):
+            off = [0.5 + dip, 0]
+            density = [[[0.5, 0], off], [off, [0.5, 0]]]
+            path.write_text(json.dumps({"dim": 2, "state": {"density": density}, "n_trials": 10}))
+            assert main(["--config", str(path)]) == code
+        assert "state.density: is not positive semidefinite (min eigenvalue -3.000e-10)" in capsys.readouterr().err
+
     def test_duplicate_partition_index(self):
         bad = '{"dim": 2, "state": {"ket": [[1, 0], [0, 0]]}, "partition": [[1], [2, 2]]}'
         with pytest.raises(ConfigError, match="duplicate index 2"):
@@ -371,6 +381,39 @@ class TestMain:
         assert main(["--config", str(path), "--trials", "100", "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("outcome,exact_prob,")
+
+    #: each flag's arguments and the override it hands parse_config
+    FLAGS = {
+        "--trials": (["7"], "n_trials", 7),
+        "--seed": (["3"], "seed", 3),
+        "--out": (["report.json"], "out", "report.json"),
+        "--format": (["csv"], "format", "csv"),
+        "--partition": (["1|2"], "partition", [[1], [2]]),
+        "--dump-geometry": ([], "dump_geometry", True),
+        "--trace": ([], "trace", True),
+        "--oracle-check": ([], "oracle_check", True),
+    }
+
+    def test_each_flag_overrides_the_field_it_names(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(MINIMAL)
+        seen = []
+
+        def record(text, overrides):
+            seen.append(overrides)
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(blochsim.cli, "parse_config", record)
+        every_flag = [word for flag, (args, _, _) in self.FLAGS.items() for word in [flag, *args]]
+        assert main(["--config", str(path), *every_flag]) == 2
+        assert main(["--config", str(path)]) == 2
+        assert seen == [{field: value for _, field, value in self.FLAGS.values()}, {}]
+        assert set(seen[0]) <= blochsim.cli._KNOWN_KEYS
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert "[--trials TRIALS]" in usage
+        assert set(re.findall(r"--[a-z-]+", usage)) == {"--config", *self.FLAGS}
 
     @staticmethod
     def _run_module(tmp_path, text: str) -> subprocess.CompletedProcess:

@@ -13,6 +13,7 @@ from blochsim import (
     GeometryError,
     Ket,
     MeasurementBasis,
+    MeasurementSimplex,
     RngSeed,
     barycentric_of,
     basis_to_simplex,
@@ -137,6 +138,13 @@ class TestGeometry:
     def test_rank_deficient_edges_raise(self, edges):
         with pytest.raises(GeometryError, match="affinely dependent"):
             _gram_schmidt(np.array(edges))
+
+    def test_edge_tol_is_how_short_an_edge_may_be(self):
+        # EDGE_TOL = 1e-14: a 3e-14 edge still spans a segment, a 3e-15 one does not
+        s = MeasurementSimplex([[0.0, 0.0, 0.0], [3e-14, 0.0, 0.0]])
+        np.testing.assert_array_equal(s.frame, [[-1.0, 0.0, 0.0]])  # the edge n_1 - n_2
+        with pytest.raises(GeometryError, match="affinely dependent"):
+            MeasurementSimplex([[0.0, 0.0, 0.0], [3e-15, 0.0, 0.0]])
 
 
 class TestProjection:

@@ -166,6 +166,9 @@ MUTANTS = (
     *_scaled("NEGLIGIBLE_WEIGHT", "1e-300"),
     *_scaled("BOUNDARY_TOL", "1e-12"),
     *_scaled("HULL_TOL", "1e-9"),
+    *_scaled("EDGE_TOL", "1e-14"),
+    *_scaled("ALGEBRA_TOL", "1e-12"),
+    *_scaled("EIGEN_TOL", "1e-10"),
 )
 
 
