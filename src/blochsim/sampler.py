@@ -67,7 +67,7 @@ with rate p_i is the smallest with probability p_i / sum_j p_j = p_i
 exactly. All draws come from one stream of exponentials and one block
 generator, ``_exponential_rows``, in blocks of the caller's size:
 ``_CHUNK_ELEMS`` = 2^15 elements for :func:`run_trials`, one oracle block
-for the oracle. One block schedule, laid out once, puts block k in buffer
+for the oracle. Block k, a view derived from k alone, lies in buffer
 k mod 2 of two reused buffers. The caller's thread fills block 0, all a
 call of one block needs. A longer call overlaps the fill with the
 classify: one helper thread fills block k + 1 of the same generator while
@@ -316,18 +316,21 @@ def _exponential_rows(n: int, count: int, rng: np.random.Generator, rows: int):
     """
     starts = range(0, count, rows)
     bufs = np.empty((min(len(starts), 2), min(rows, count), n))
-    blocks = [bufs[k % 2, : min(rows, count - start)] for k, start in enumerate(starts)]
-    rng.standard_exponential(out=blocks[0])
-    if len(blocks) == 1:
-        yield blocks[0]
+
+    def block(k: int) -> np.ndarray:
+        return bufs[k % 2, : min(rows, count - starts[k])]
+
+    rng.standard_exponential(out=block(0))
+    if len(starts) == 1:
+        yield block(0)
         return
     handover = threading.Barrier(2)
     failure = []
 
     def fill_ahead():
         try:
-            for block in blocks[1:]:
-                rng.standard_exponential(out=block)
+            for k in range(1, len(starts)):
+                rng.standard_exponential(out=block(k))
                 handover.wait()
         except threading.BrokenBarrierError:
             pass  # broken by the caller's exit; kept, it would hold the buffers in a reference cycle
@@ -339,13 +342,13 @@ def _exponential_rows(n: int, count: int, rng: np.random.Generator, rows: int):
     helper = threading.Thread(target=fill_ahead, daemon=True)
     helper.start()
     try:
-        yield blocks[0]
-        for block in blocks[1:]:
+        yield block(0)
+        for k in range(1, len(starts)):
             try:
                 handover.wait()
             except threading.BrokenBarrierError:
                 raise failure.pop() from None  # popped: a kept error would cycle with the buffers
-            yield block
+            yield block(k)
     finally:
         handover.abort()
         helper.join()

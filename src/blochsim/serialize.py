@@ -7,11 +7,11 @@ Complex scalars travel as [re, im] pairs.
 Float and integer arrays are written an array at a time: one finiteness
 check per float array, then one ``%`` of all its elements, in row-major
 order, over one template built from the array's shape. The template
-holds one ``"%.12g"`` (floats) or ``"%d"`` (integers) per element inside
-[...] lists joined with ", ". ``%.12g`` writes the same text as
-``{:.12g}``, signed zeros and subnormals included. The text is the one
-that writing each element on its own gives, and so is the error: the
-first non-finite value in row-major order is named. A report holds
+holds one ``_FLOAT`` (floats) or ``"%d"`` (integers) per element inside
+[...] lists joined with ", ". A float scalar is written as a 0-d array,
+and a CSV row's floats take ``_FLOAT`` too. The text is the one that
+writing each element on its own gives, and so is the error: the first
+non-finite value in row-major order is named. A report holds
 only dicts, lists, strings, ints, floats (``int`` and ``float`` exactly)
 and integer or float arrays; any other object, a bool, None, a tuple, a
 numpy scalar or a bool or complex array among them, is a ContractError.
@@ -36,11 +36,8 @@ from .sampler import OracleReport, TrialReport
 from .simplex import MeasurementSimplex
 
 
-def format_float(x: float) -> str:
-    x = float(x)
-    if not np.isfinite(x):
-        raise ContractError(f"cannot serialize non-finite number {x!r}")
-    return f"{x:.12g}"
+#: The one float format of every report: 12 significant digits.
+_FLOAT = "%.12g"
 
 
 def _template(shape: tuple[int, ...], spec: str) -> str:
@@ -51,13 +48,18 @@ def _template(shape: tuple[int, ...], spec: str) -> str:
     return text
 
 
+def _finite(a: np.ndarray) -> list[float]:
+    """The elements of a float array in row-major order; the first non-finite one is a ContractError."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ContractError(f"cannot serialize non-finite number {float(a[~finite][0])!r}")
+    return a.astype(np.float64, copy=False).ravel().tolist()
+
+
 def _array_text(a: np.ndarray) -> str:
     """A float or integer array as nested JSON lists."""
     if a.dtype.kind == "f":
-        finite = np.isfinite(a)
-        if not finite.all():
-            format_float(a[~finite][0])
-        return _template(a.shape, "%.12g") % tuple(a.astype(np.float64, copy=False).ravel().tolist())
+        return _template(a.shape, _FLOAT) % tuple(_finite(a))
     return _template(a.shape, "%d") % tuple(a.ravel().tolist())
 
 
@@ -78,10 +80,8 @@ def _write(obj, parts: list[str], indent: int) -> None:
         parts.append(json.dumps(obj))
     elif type(obj) is int:
         parts.append(str(obj))
-    elif type(obj) is float:
-        parts.append(format_float(obj))
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fiu":
-        parts.append(_array_text(obj))
+    elif type(obj) is float or (isinstance(obj, np.ndarray) and obj.dtype.kind in "fiu"):
+        parts.append(_array_text(np.asarray(obj)))
     elif isinstance(obj, list):
         if not obj:
             parts.append("[]")
@@ -140,17 +140,13 @@ def trial_report_to_dict(report: TrialReport) -> dict:
 
 def trial_report_to_csv(report: TrialReport) -> str:
     """One row per outcome; exact probability always beside the frequency."""
-    lines = ["outcome,exact_prob,count,empirical_freq,chi_square,max_abs_deviation"]
-    chi = format_float(report.chi_square)
-    dev = format_float(report.max_abs_deviation)
-    freqs = report.empirical_freqs
-    for i in range(report.exact_probs.dim):
-        lines.append(
-            f"{i + 1},{format_float(report.exact_probs.weights[i])},"
-            f"{int(report.counts[i])},{format_float(freqs[i])},"
-            f"{chi},{dev}"
-        )
-    return "\n".join(lines) + "\n"
+    chi, dev = _finite(np.array([report.chi_square, report.max_abs_deviation]))
+    probs_freqs = _finite(np.column_stack([report.exact_probs.weights, report.empirical_freqs]))
+    cells = []
+    for i, count in enumerate(report.counts.tolist()):
+        cells += [i + 1, probs_freqs[2 * i], count, probs_freqs[2 * i + 1], chi, dev]
+    rows = f"%d,{_FLOAT},%d,{_FLOAT},{_FLOAT},{_FLOAT}\n" * report.exact_probs.dim
+    return "outcome,exact_prob,count,empirical_freq,chi_square,max_abs_deviation\n" + rows % tuple(cells)
 
 
 def simplex_geometry_to_dict(s: MeasurementSimplex) -> dict:

@@ -48,6 +48,10 @@ place of the contraction ``einsum("ji,jk->ik", ...)``, and the
 computational-basis flag ``_is_identity`` is read only there and in
 ``born_probabilities``, so no second collapse path or diagonal shortcut
 grows back.
+
+The float format of a report, 12 significant digits, is spelled once in
+the library, as ``serialize._FLOAT``, so no second float writer grows
+back.
 """
 
 import ast
@@ -273,3 +277,8 @@ def test_every_block_stream_is_consumed_inside_closing():
         bare = [ast.unparse(node) for node in ast.walk(tree) if is_stream(node) and id(node) not in closed]
         assert bare == [], path.name
     assert _sites(is_stream) == {("sampler.py", "run_trials"), ("sampler.py", "geometric_hit_count_oracle")}
+
+
+def test_the_float_format_is_spelled_once():
+    spelled = {path.name: path.read_text().count(".12g") for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: times for name, times in spelled.items() if times} == {"serialize.py": 1}

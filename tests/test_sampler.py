@@ -617,6 +617,21 @@ class TestExponentialRows:
         # nothing drawn past count: the stream goes on where a serial fill leaves it
         assert rng.standard_exponential() == serial.standard_exponential()
 
+    def test_the_first_block_of_a_long_run_takes_only_the_two_buffers(self):
+        # block k's view is derived from k, so nothing grows with the run's
+        # length: at n = 2 the two buffers take 512 KiB, and a schedule of
+        # all 61,036 views laid out before the first draw would take 8.9 MiB
+        rng = RngSeed(2).generator()
+        rng.standard_exponential(1)  # the modules numpy imports on a first draw
+        tracemalloc.start()
+        try:
+            with closing(sampler._exponential_rows(2, 10**9, rng, sampler._block_rows(2))) as stream:
+                next(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_one_block_starts_no_thread_and_more_start_one(self):
         baseline = threading.active_count()
         for _ in sampler._exponential_rows(4, 100, RngSeed(1).generator(), 100):

@@ -8,7 +8,11 @@ floats and integer or float arrays), including ones with -0.0,
 subnormals, ±1e308, empty arrays and nested containers, must come out
 byte-identical, and a non-finite number must raise the same
 ``ContractError`` message. Anything else a report cannot hold, which the
-reference also wrote, is a ``ContractError``.
+reference also wrote, is a ``ContractError``. ``trial_report_to_csv``
+fills one row template for the whole table; the f-string row writer it
+replaced is kept below too. Every trial report, at any N, over outcomes
+or over the classes of a partition, with zero or subnormal weights, must
+give its text, and one whose statistic overflows must give its error.
 
 ``pairs_to_array`` converts a whole nested list at once. Each number must
 come out as ``complex(float(re), float(im))``, bit for bit, and every
@@ -23,8 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from blochsim import Barycentric, TrialReport
 from blochsim.errors import ContractError
-from blochsim.serialize import dumps, pairs_to_array
+from blochsim.serialize import dumps, pairs_to_array, trial_report_to_csv
 
 
 def format_float(x: float) -> str:
@@ -76,6 +81,20 @@ def reference_dumps(obj) -> str:
     parts: list[str] = []
     _write(obj, parts, 0)
     return "".join(parts)
+
+
+def reference_csv(report: TrialReport) -> str:
+    lines = ["outcome,exact_prob,count,empirical_freq,chi_square,max_abs_deviation"]
+    chi = format_float(report.chi_square)
+    dev = format_float(report.max_abs_deviation)
+    freqs = report.empirical_freqs
+    for i in range(report.exact_probs.dim):
+        lines.append(
+            f"{i + 1},{format_float(report.exact_probs.weights[i])},"
+            f"{int(report.counts[i])},{format_float(freqs[i])},"
+            f"{chi},{dev}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 #: Values where ``.12g`` formatting and float conversion have edge cases.
@@ -147,6 +166,42 @@ def test_report_shapes_write_as_before():
     doc = {"vertices": rng.standard_normal((4, 15)), "density": pairs, "counts": np.arange(4),
            "empty": np.empty((2, 0))}
     assert dumps(doc) == reference_dumps(doc)
+
+
+#: Weights with edge cases: zero, subnormal and tiny.
+EDGE_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1.0])
+
+
+@st.composite
+def _trial_reports(draw):
+    """A trial report over N in 2..32 outcomes, or over the classes of a partition of them."""
+    n = draw(st.integers(2, 32))
+    raw = np.array(draw(st.lists(st.floats(0, 1) | EDGE_WEIGHTS, min_size=n, max_size=n)))
+    if raw.sum() == 0.0:
+        raw[draw(st.integers(0, n - 1))] = 1.0
+    weights = raw / raw.sum()
+    if draw(st.booleans()):
+        classes = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        weights = np.bincount(np.unique(classes, return_inverse=True)[1], weights=weights)
+    # a count on a weight below about 1e-280 can overflow chi_square, the next test's case
+    counts = [draw(st.integers(0, 10**12)) if w > 1e-100 else 0 for w in weights]
+    if sum(counts) == 0:
+        counts[int(np.argmax(weights))] = 1
+    return TrialReport(sum(counts), Barycentric(weights), np.array(counts))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(report=_trial_reports())
+def test_csv_matches_the_row_writer(report):
+    assert trial_report_to_csv(report) == reference_csv(report)
+
+
+def test_a_csv_statistic_that_overflows_is_the_row_writers_error():
+    report = TrialReport(10, Barycentric([1.0, 1e-310]), np.array([9, 1]))
+    with np.errstate(over="ignore"):  # the statistic's own warning
+        expected = _outcome(reference_csv, report)
+        assert expected == (ContractError, "cannot serialize non-finite number inf")
+        assert _outcome(trial_report_to_csv, report) == expected
 
 
 #: Values no report holds, each of which the reference writes.

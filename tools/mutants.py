@@ -99,14 +99,14 @@ MUTANTS = (
     Mutant(
         "dirichlet-first-block",
         "sampler.py",
-        "    rng.standard_exponential(out=blocks[0])",
-        "    blocks[0][...] = rng.gamma(1.02, size=blocks[0].shape)",
+        "    rng.standard_exponential(out=block(0))",
+        "    block(0)[...] = rng.gamma(1.02, size=block(0).shape)",
     ),
     Mutant(
         "dirichlet-later-blocks",
         "sampler.py",
-        "                rng.standard_exponential(out=block)",
-        "                block[...] = rng.gamma(1.02, size=block.shape)",
+        "                rng.standard_exponential(out=block(k))",
+        "                block(k)[...] = rng.gamma(1.02, size=block(k).shape)",
     ),
     Mutant(
         "dirichlet-shot",
@@ -155,6 +155,18 @@ MUTANTS = (
     ),
     Mutant("pipeline-exit-without-abort", "sampler.py", "        handover.abort()", "        pass"),
     Mutant("pipeline-helper-error-without-abort", "sampler.py", "            handover.abort()", "            pass"),
+    Mutant(
+        "block-one-row-short",
+        "sampler.py",
+        "        return bufs[k % 2, : min(rows, count - starts[k])]",
+        "        return bufs[k % 2, : min(rows, count - starts[k] - 1)]",
+    ),
+    Mutant(
+        "csv-exact-prob-eleven-digits",
+        "serialize.py",
+        '    rows = f"%d,{_FLOAT},%d,{_FLOAT},{_FLOAT},{_FLOAT}\\n" * report.exact_probs.dim',
+        '    rows = f"%d,%.11g,%d,{_FLOAT},{_FLOAT},{_FLOAT}\\n" * report.exact_probs.dim',
+    ),
     Mutant(
         "run-trials-without-closing",
         "sampler.py",
